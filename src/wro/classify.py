@@ -78,6 +78,11 @@ class ClassifyError(ValueError):
     """Raised when the inputs fall outside every classification rule."""
 
 
+class InconsistentReportError(ClassifyError):
+    """Raised when a finished report fails its own consistency audit: a
+    fault of the classifier, not of the inputs."""
+
+
 #: circles closer than this (relative) merge into one reported circle
 CIRCLE_MERGE_TOL = 1e-9
 
@@ -502,7 +507,7 @@ def _finish(
     )
     problems = report_consistency(report)
     if problems:
-        raise ClassifyError("internal: inconsistent report: %s" % "; ".join(problems))
+        raise InconsistentReportError("internal: inconsistent report: %s" % "; ".join(problems))
     return report
 
 

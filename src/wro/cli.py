@@ -41,6 +41,7 @@ from .classify import (
     REPORT_KEYS,
     ClassifyError,
     Component,
+    InconsistentReportError,
     SetReport,
     SpectrumReport,
     classify,
@@ -735,15 +736,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ConvergenceError, OracleError, InconsistentReportError, np.linalg.LinAlgError) as exc:
+        # first: the last two subclass ValueError, which means bad input below
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return 2
     except (WeightError, ClassifyError, AnalysisError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (json.JSONDecodeError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ConvergenceError, OracleError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

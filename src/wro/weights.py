@@ -96,19 +96,27 @@ def _require_grid(grid: int) -> int:
     return grid
 
 
+def _is_real_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_complex_scalar(value: object, what: str) -> complex:
-    """Read a JSON number, an [re, im] pair, or a complex scalar."""
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise WeightError("%s must be a number or an [re, im] pair, got %r" % (what, value))
+    """Read a JSON number, an [re, im] pair, or a complex scalar; both
+    parts must be finite (``json`` accepts NaN and Infinity)."""
+    try:
+        if isinstance(value, complex):
+            z = value
+        elif _is_real_number(value):
+            z = complex(float(value), 0.0)
+        elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real_number, value)):
+            z = complex(float(value[0]), float(value[1]))
+        else:
+            raise WeightError("%s must be a number or an [re, im] pair, got %r" % (what, value))
+    except OverflowError:
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise WeightError("%s must be finite, got %r" % (what, value))
+    return z
 
 
 def _coeff_tuple(values: Iterable[object], what: str) -> tuple:
@@ -235,9 +243,12 @@ def rational(num: Iterable[complex], den: Iterable[complex]) -> Weight:
 
 def taylor(coeffs: Iterable[complex], tail_bound: float, tags: Iterable[str] = ()) -> Weight:
     cs = _coeff_tuple(coeffs, "taylor coefficient")
-    tb = float(tail_bound)
+    try:
+        tb = float(tail_bound)
+    except (TypeError, ValueError, OverflowError):
+        tb = math.nan
     if not (tb >= 0.0) or not math.isfinite(tb):
-        raise WeightError("tail bound must be a finite nonnegative number")
+        raise WeightError("tail bound must be a finite nonnegative number, got %r" % (tail_bound,))
     if all(c == 0 for c in cs) and tb == 0.0:
         raise WeightError("weight is identically zero")
     return Weight(Taylor(tuple(cs), tb), frozenset(tags))
@@ -663,7 +674,12 @@ def parse_space(doc: Union[str, Mapping]) -> SpaceSpec:
                     raise WeightError("%s must be an integer" % name)
                 kw[name] = val
             else:
-                kw[name] = float(val)
+                try:
+                    kw[name] = float(val)
+                except (TypeError, ValueError, OverflowError):
+                    raise WeightError("%s must be a number, got %r" % (name, val)) from None
+                if not math.isfinite(kw[name]):
+                    raise WeightError("%s must be finite, got %r" % (name, val))
     extra = set(doc) - {"variant", "p", "order", "inner_radius", "dim"}
     if extra:
         raise WeightError("unknown space fields: %s" % sorted(extra))

@@ -2,10 +2,14 @@
 rendered output, and the verify battery."""
 
 import json
+import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
-from wro import Component
+from wro import Component, cli
 from wro.cli import (
     PARAM_DEFAULTS,
     component_from_payload,
@@ -182,6 +186,41 @@ def test_exit_2_on_numerical_failure(tmp_path, capsys):
     })
     assert main(["scan", "--job", job]) == 2
     capsys.readouterr()
+
+
+def test_exit_2_on_linear_algebra_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which otherwise reads as bad input
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "pseudospectrum_scan", fail)
+    assert main(["scan", "--job", _bergman_job(tmp_path)]) == 2
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
+def test_exit_2_on_inconsistent_report(tmp_path, capsys, monkeypatch):
+    # a report failing its own audit is a fault of the classifier
+    monkeypatch.setattr(sys.modules["wro.classify"], "report_consistency", lambda r: ["forced"])
+    assert main(["classify", "--job", _bergman_job(tmp_path)]) == 2
+    assert "internal: inconsistent report: forced" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", [
+    {"type": "poly", "coeffs": [math.nan, 1]},
+    {"type": "taylor", "coeffs": [2, math.nan], "tail_bound": 0.0},
+    {"type": "poly", "coeffs": [1, math.inf]},
+], ids=["poly-nan", "taylor-nan", "poly-inf"])
+def test_exit_1_on_non_finite_numbers(tmp_path, capsys, weight):
+    # json writes and reads NaN and Infinity; they must stop at the boundary
+    job = _write_job(tmp_path, "nonfinite.json", {
+        "space": {"variant": "bergman", "p": 2},
+        "weight": weight,
+        "rotation": {"kind": "named", "name": "golden"},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", "--job", job]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

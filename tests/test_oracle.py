@@ -2,17 +2,20 @@
 and the space norm ladders."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from wro import (
     OracleError,
     bloch_norm,
     build_truncation,
     check_smoothing_identity,
+    geometric_mean,
     monomial_norms,
     named_rotation,
     norm_asymptotics,
@@ -21,8 +24,12 @@ from wro import (
     pseudospectrum_scan,
     rational,
     singular_sequence_residual,
+    taylor,
     truncation_rank,
+    weight_at_origin,
 )
+from wro import oracle
+from wro.oracle import _gap_dense
 from wro.weights import space
 
 GOLDEN = named_rotation("golden")
@@ -154,6 +161,122 @@ def test_sum_norm_gap_ell1a():
     # lambda = 0 with an invertible weight: the inverse is bounded
     zero_gap = pseudospectrum_scan(T, [1e-12], n_angles=1).gaps[0]
     assert zero_gap > 0.1
+
+
+# the scan's banded inverse Lanczos (l^1: banded column sums) against the
+# dense reference; polynomial weights of degree 1-4 and one Taylor weight
+# whose truncation fills the whole band
+AGREEMENT_ORDER = 128
+AGREEMENT_WEIGHTS = [
+    polynomial([2, 0.5]),
+    polynomial([1, -2.5, 1]),
+    polynomial(np.poly([0.5j, 1.5, -2.0])[::-1]),
+    polynomial(np.poly([0.3 + 0.4j, -0.6, 1.2j, 2.5])[::-1]),
+    taylor([2.0] + [0.6 ** k for k in range(1, AGREEMENT_ORDER)],
+           0.6 ** AGREEMENT_ORDER / 0.4),
+]
+MODEL_SPACES = [space("hardy_banach"), BERGMAN, space("dirichlet", p=2), space("ell1a")]
+
+
+def _dense_tolerance(T, lam, gap):
+    a = lam * np.eye(T.order) - T.entries
+    return 1e-9 * gap + 4 * T.order * np.finfo(float).eps * np.linalg.norm(a, 2)
+
+
+def _floor(T, lam):
+    """N eps max|A_ij| of A = lambda I - M: the gap reported inside the spectrum."""
+    a = lam * np.eye(T.order) - T.entries
+    return T.order * np.finfo(float).eps * np.max(np.abs(a))
+
+
+def _no_dense_route(T, lam):
+    raise AssertionError("the scan took the dense route")
+
+
+@pytest.mark.parametrize("sp", MODEL_SPACES, ids=lambda sp: sp.variant)
+def test_banded_gap_agrees_with_dense(sp, monkeypatch):
+    full = build_truncation(sp, AGREEMENT_WEIGHTS[-1], GOLDEN, AGREEMENT_ORDER).entries
+    assert np.count_nonzero(full) == AGREEMENT_ORDER * (AGREEMENT_ORDER + 1) // 2
+    # the full band would take the dense route, which is faster there
+    monkeypatch.setattr(oracle, "BANDED_MAX_WIDTH_DIVISOR", {"euclidean": 1, "sum": 1})
+    for w in AGREEMENT_WEIGHTS:
+        T = build_truncation(sp, w, GOLDEN, AGREEMENT_ORDER)
+        base = {abs(weight_at_origin(w)), geometric_mean(w, 1.0)}
+        radii = sorted({f * r for r in base for f in (0.5, 0.75, 1.0, 1.25, 1.5)})
+        # with the dense route (and with it the non-converged fallback)
+        # disabled, every gap below comes from the banded route
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_gap_dense", _no_dense_route)
+            scan = pseudospectrum_scan(T, radii, n_angles=4)
+        assert np.all(np.isfinite(scan.gaps)) and np.all(scan.gaps >= 0.0)
+        for lam, gap in zip(scan.points, scan.gaps):
+            dense = _gap_dense(T, complex(lam))
+            assert abs(gap - dense) <= _dense_tolerance(T, lam, dense), (sp.variant, w, lam)
+
+
+def test_scan_route_follows_order_and_bandwidth():
+    # banded from order 128 on while the bandwidth is at most N/4
+    # (Euclidean models) or N/16 (l^1); the dense route otherwise
+    def banded(sp, w, order):
+        return oracle._BandedShift(build_truncation(sp, w, GOLDEN, order)).banded
+
+    def degree(d):
+        return polynomial([2.0] + [0.5] * d)
+
+    ell1a = space("ell1a")
+    assert not banded(BERGMAN, degree(2), 64) and not banded(ell1a, degree(2), 64)
+    assert banded(BERGMAN, degree(2), 128) and banded(ell1a, degree(2), 128)
+    assert banded(BERGMAN, degree(32), 128) and not banded(BERGMAN, degree(33), 128)
+    assert banded(ell1a, degree(8), 128) and not banded(ell1a, degree(9), 128)
+    assert not banded(BERGMAN, AGREEMENT_WEIGHTS[-1], AGREEMENT_ORDER)
+
+
+def test_unconverged_lanczos_falls_back_to_dense(monkeypatch):
+    T = build_truncation(BERGMAN, polynomial([2, 0.5]), GOLDEN, 128)
+    monkeypatch.setattr(oracle, "LANCZOS_MAX_STEPS", 4)
+    scan = pseudospectrum_scan(T, [1.0, 3.0], n_angles=3)
+    for lam, gap in zip(scan.points, scan.gaps):
+        assert gap == _gap_dense(T, complex(lam))
+
+
+def _assert_floor(T, scan):
+    for lam, gap in zip(scan.points, scan.gaps):
+        assert np.isfinite(gap) and 0.0 <= gap <= _floor(T, lam)
+
+
+@pytest.mark.parametrize("sp", [BERGMAN, space("ell1a")], ids=lambda sp: sp.variant)
+def test_gap_on_a_diagonal_entry_reports_the_floor(sp):
+    # lambda = alpha^0 w(0) = 1 makes the first diagonal entry exactly zero
+    T = build_truncation(sp, polynomial([1, -2.5, 1]), GOLDEN, 64)
+    scan = pseudospectrum_scan(T, [1.0], n_angles=1)
+    assert scan.points[0] == T.diagonal()[0]
+    _assert_floor(T, scan)
+
+
+@pytest.mark.parametrize("sp", [BERGMAN, space("ell1a")], ids=lambda sp: sp.variant)
+def test_gap_on_the_unit_circle_inside_the_spectrum(sp):
+    # g = 2, so |lambda| = 1 lies inside the spectral disc, where the gap
+    # of the truncation decays like 2^-N
+    T = build_truncation(sp, polynomial([1, -2.5, 1]), GOLDEN, 256)
+    _assert_floor(T, pseudospectrum_scan(T, [1.0], n_angles=7))
+
+
+@pytest.mark.parametrize("route", ["banded", "dense"])
+@pytest.mark.parametrize("sp", [BERGMAN, space("ell1a")], ids=lambda sp: sp.variant)
+def test_gap_deep_inside_where_the_solve_overflows(sp, route, monkeypatch):
+    # w = 0.001 + z has g = 1; at |lambda| = 0.01 back substitution grows
+    # by about 100 per row and overflows long before row 256
+    T = build_truncation(sp, polynomial([0.001, 1]), GOLDEN, 256)
+    a = 0.01 * np.eye(256) - T.entries
+    with np.errstate(all="ignore"):
+        column = solve_triangular(a, np.eye(256)[:, 0], lower=True)
+    assert not np.all(np.isfinite(column))
+    if route == "dense":
+        monkeypatch.setattr(oracle, "BANDED_MIN_ORDER", 2 * T.order)
+    assert oracle._BandedShift(T).banded == (route == "banded")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_floor(T, pseudospectrum_scan(T, [0.01], n_angles=4))
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,19 @@ def test_parse_space_rejects_stray_fields():
     assert sp.variant == "dirichlet" and sp.p == 2.0
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p", math.inf, "finite"),
+    ("p", math.nan, "finite"),
+    ("p", [2], "number"),
+    ("inner_radius", math.nan, "finite"),
+])
+def test_parse_space_rejects_non_numbers(field, value, message):
+    variant = "annulus_hardy" if field == "inner_radius" else "bergman"
+    doc = {"variant": variant, "p": 2, field: value}
+    with pytest.raises(WeightError, match=message):
+        parse_space(doc)
+
+
 # ----------------------------------------------------------------------
 # JSON round trips
 # ----------------------------------------------------------------------
