@@ -33,9 +33,8 @@ from .weights import (
     TorusPolynomial,
     TOL_ZERO,
     Weight,
-    WeightError,
+    _trim,
     boundary_values,
-    evaluate,
 )
 
 
@@ -68,20 +67,22 @@ YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 def _polished_roots(coeffs) -> np.ndarray:
     """Roots of an ascending coefficient list, companion matrix plus one
-    Newton step."""
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.size - 1
-    while d > 0 and c[d] == 0:
-        d -= 1
-    c = c[: d + 1]
+    Newton step.
+
+    A step longer than max(1, |root|) is rejected: a near zero
+    derivative at a multiple root would otherwise throw the root
+    arbitrarily far (even to overflow)."""
+    c = np.asarray(_trim(coeffs), dtype=complex)
     if c.size == 1:
         return np.zeros(0, dtype=complex)
     roots = np.asarray(np.roots(c[::-1]), dtype=complex)
     dc = npoly.polyder(c)
     pv = npoly.polyval(roots, c)
     dv = npoly.polyval(roots, dc)
-    ok = np.abs(dv) > 1e-300
-    roots[ok] = roots[ok] - pv[ok] / dv[ok]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = pv / dv
+    ok = np.abs(step) <= np.maximum(1.0, np.abs(roots))
+    roots[ok] = roots[ok] - step[ok]
     return roots
 
 
@@ -252,11 +253,8 @@ def _jensen_product(coeffs, r: float) -> float:
     the product runs over cluster means rather than raw roots; this
     recovers nearly full precision for repeated zeros.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.size - 1
-    while d > 0 and c[d] == 0:
-        d -= 1
-    lead = abs(complex(c[d]))
+    c = np.asarray(_trim(coeffs), dtype=complex)
+    lead = abs(complex(c[-1]))
     out = lead
     for z, m in _cluster(_polished_roots(c)):
         out *= max(r, abs(z)) ** m

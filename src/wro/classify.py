@@ -383,9 +383,8 @@ _REQUIRED_TAGS = {
     "polydisc_bergman": (),
 }
 
-#: spaces whose exact classification needs boundary continuity (the sup-norm family
-#: keeps an essential-boundary reading instead)
-_CONTINUOUS_FAMILY = ("disc_algebra", "smooth_cna", "bergman", "bloch", "dirichlet")
+#: sup-norm spaces: sampled weights say nothing of the essential boundary
+#: behaviour between the samples
 _SUPNORM_FAMILY = ("hinf", "hardy_banach", "sobolev_wna")
 
 
@@ -429,10 +428,6 @@ def _check_tags(sp: SpaceSpec, w: Weight) -> None:
 # ----------------------------------------------------------------------
 
 
-def _exact_report(sets: Dict[str, CircularSet], citation: str) -> Dict[str, SetReport]:
-    return {k: SetReport(s, EXACT, citation) for k, s in sets.items()}
-
-
 def _sandwich(citation: str, g: float) -> Dict[str, SetReport]:
     """The sound two sided estimate available whenever only the boundary
     mean g is known: each set contains the circle |lambda| = g and lies
@@ -448,24 +443,12 @@ def _sandwich(citation: str, g: float) -> Dict[str, SetReport]:
     return out
 
 
-def _all_circle(citation: str, r: float) -> Dict[str, SetReport]:
-    out = {}
-    for key in REPORT_KEYS:
-        if key == "sigma_r":
-            out[key] = SetReport(empty_set(), EXACT, citation)
-        else:
-            out[key] = SetReport(circle(r), EXACT, citation)
-    return out
-
-
-def _all_disc(citation: str, g: float) -> Dict[str, SetReport]:
-    out = {}
-    for key in REPORT_KEYS:
-        if key == "sigma_r":
-            out[key] = SetReport(empty_set(), EXACT, citation)
-        else:
-            out[key] = SetReport(closed_disc(g), EXACT, citation)
-    return out
+def _all_exact(citation: str, s: CircularSet) -> Dict[str, SetReport]:
+    """Every set equals s exactly; the residual set is empty."""
+    return {
+        key: SetReport(empty_set() if key == "sigma_r" else s, EXACT, citation)
+        for key in REPORT_KEYS
+    }
 
 
 def _residual_disc(citation: str, g: float) -> Dict[str, SetReport]:
@@ -546,7 +529,7 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
         branch, fact = _closed_form_branch(w)
         if branch == 1:
             r0 = abs(weight_at_origin(w))
-            return _finish(_all_circle("%s(1)" % rule, r0), extra_rules=extra_rules)
+            return _finish(_all_exact("%s(1)" % rule, circle(r0)), extra_rules=extra_rules)
         g = fact.outer_value_mod
         if branch == 2:
             cite = "%s(2)" % rule
@@ -556,7 +539,7 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
                 index_map=_index_entries(fact, g),
                 extra_rules=tuple(extra_rules) + ("blaschke-zero-index",),
             )
-        return _finish(_all_disc("%s(3)" % rule, g), extra_rules=extra_rules)
+        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
 
     if isinstance(rep, Taylor):
         prof = invertibility_profile(w)
@@ -599,7 +582,7 @@ def _classify_ell1a(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         branch, fact = _closed_form_branch(w)
         if branch == 1:
             r0 = abs(weight_at_origin(w))
-            return _finish(_all_circle("%s(1)" % rule, r0))
+            return _finish(_all_exact("%s(1)" % rule, circle(r0)))
         # not invertible in the series algebra: the full spectrum is the
         # closed disc of the boundary mean, but whether the circle
         # |lambda| = g exhausts the approximate point spectrum is open
@@ -640,7 +623,7 @@ def _classify_annulus(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     lo, hi = min(g1, gR), max(g1, gR)
     if hi - lo <= CIRCLE_MERGE_TOL * max(1.0, hi):
         r = 0.5 * (lo + hi)
-        return _finish(_all_circle("%s(merged)" % rule, r))
+        return _finish(_all_exact("%s(merged)" % rule, circle(r)))
     cite = "%s(two-circles)" % rule
     ap = CircularSet((Component("circle", r=lo), Component("circle", r=hi)))
     body = closed_annulus(lo, hi)
@@ -684,7 +667,7 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     branch, fact = _closed_form_branch(wa)
     if branch == 1:
         r0 = abs(weight_at_origin(wa))
-        return _finish(_all_circle("%s(1)" % rule, r0))
+        return _finish(_all_exact("%s(1)" % rule, circle(r0)))
     g = fact.outer_value_mod
     if branch == 2:
         cite = "%s(2)" % rule
@@ -695,7 +678,7 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         sets["sigma_3"] = SetReport(closed_disc(g), EXACT, cite)
         entry = IndexEntry(Component("open_disc", r=float(g)), index=None, minus_infinity=True)
         return _finish(sets, index_map=(entry,))
-    return _finish(_all_disc("%s(3)" % rule, g))
+    return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,8 @@ from .classify import (
 )
 from .ergodic import group_rotation_radius
 from .oracle import (
+    MAX_LADDER_M,
+    MAX_TRUNCATION,
     OracleError,
     build_truncation,
     check_smoothing_identity,
@@ -64,6 +66,7 @@ from .weights import (
     TorusPolynomial,
     Weight,
     WeightError,
+    _is_real_number,
     parse_rotation,
     parse_space,
     parse_weight,
@@ -93,6 +96,22 @@ PARAM_DEFAULTS = {
 _INT_PARAMS = ("grid", "n_max", "truncation", "peak_power", "angles", "smoothing_n", "m_max")
 _LIST_PARAMS = ("ladder", "m_ladder", "radius_factors")
 
+#: membership scan budget: grid points times orbit horizon.  Every cell
+#: holds a few complex temporaries and the scan may double the grid; the
+#: defaults use 4096 x 200, about a fifth of it
+MAX_MEMBERSHIP_CELLS = 1 << 22
+#: angles per circle in a scan
+MAX_ANGLES = 1 << 14
+#: smoothing identity half width; the check keeps 2n + 2 matrix powers
+MAX_SMOOTHING_N = 256
+#: upper bounds of the integer tunables
+_INT_CAPS = {
+    "truncation": MAX_TRUNCATION,
+    "m_max": MAX_LADDER_M,
+    "angles": MAX_ANGLES,
+    "smoothing_n": MAX_SMOOTHING_N,
+}
+
 
 @dataclass(frozen=True)
 class JobDocument:
@@ -104,7 +123,19 @@ class JobDocument:
     params: dict
 
 
+def _positive_finite(x) -> bool:
+    """x is a JSON number, not a boolean, with 0 < float(x) < inf."""
+    if not _is_real_number(x):
+        return False
+    try:
+        return 0.0 < float(x) < math.inf
+    except OverflowError:   # an integer beyond the float range
+        return False
+
+
 def _merge_params(doc: dict) -> dict:
+    """Defaults overridden by ``doc``, validated before any work: types,
+    finiteness, and the size caps that bound time and memory."""
     out = dict(PARAM_DEFAULTS)
     unknown = set(doc) - set(PARAM_DEFAULTS)
     if unknown:
@@ -112,21 +143,37 @@ def _merge_params(doc: dict) -> dict:
     out.update(doc)
     for name in _INT_PARAMS:
         val = out[name]
-        if not isinstance(val, int) or val < 1:
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
             raise WeightError("param %s must be a positive integer" % name)
     for name in _LIST_PARAMS:
         val = out[name]
+        integral = name != "radius_factors"
         if (
             not isinstance(val, (list, tuple))
             or not val
-            or not all(isinstance(x, (int, float)) and x > 0 for x in val)
+            or not all(_positive_finite(x) and (not integral or x == int(x)) for x in val)
         ):
-            raise WeightError("param %s must be a nonempty list of positive numbers" % name)
-        out[name] = [float(x) if name == "radius_factors" else int(x) for x in val]
+            raise WeightError(
+                "param %s must be a nonempty list of positive finite %s"
+                % (name, "integers" if integral else "numbers")
+            )
+        out[name] = [int(x) if integral else float(x) for x in val]
     eps = out["eps"]
     if not isinstance(eps, (int, float)) or not (0.0 < float(eps) < 1.0):
         raise WeightError("param eps must lie in (0, 1)")
     out["eps"] = float(eps)
+    for name, cap in _INT_CAPS.items():
+        if out[name] > cap:
+            raise WeightError("param %s must be at most %d" % (name, cap))
+    if max(out["ladder"]) > MAX_TRUNCATION:
+        raise WeightError("param ladder entries must be at most %d" % MAX_TRUNCATION)
+    # the residual check scans orbits of max(2 m + 2, 64) steps for each m
+    horizon = max(out["n_max"], 2 * max(out["m_ladder"]) + 2, 64)
+    if out["grid"] * horizon > MAX_MEMBERSHIP_CELLS:
+        raise WeightError(
+            "params grid x orbit horizon = %d x %d exceed the budget of %d cells"
+            % (out["grid"], horizon, MAX_MEMBERSHIP_CELLS)
+        )
     return out
 
 
@@ -485,12 +532,8 @@ def _model_ready(job: JobDocument) -> bool:
     return isinstance(job.rotation, RotationAngle)
 
 
-def _passed(name, data):
-    return {"name": name, "status": "passed", "data": data}
-
-
-def _failed(name, data):
-    return {"name": name, "status": "failed", "data": data}
+def _verdict(name, ok, data):
+    return {"name": name, "status": "passed" if ok else "failed", "data": data}
 
 
 def _skipped(name, reason):
@@ -500,7 +543,7 @@ def _skipped(name, reason):
 def _check_consistency(job, report):
     problems = report_consistency(report)
     data = {"violations": list(problems)}
-    return _passed("report-consistency", data) if not problems else _failed("report-consistency", data)
+    return _verdict("report-consistency", not problems, data)
 
 
 def _check_radius_routes(job):
@@ -509,7 +552,7 @@ def _check_radius_routes(job):
     if len(vals) < 2:
         return _skipped("radius-routes", "fewer than two routes are available")
     data = {"routes": routes, "tolerance": 1e-9}
-    return _passed("radius-routes", data) if _routes_agree(routes) else _failed("radius-routes", data)
+    return _verdict("radius-routes", _routes_agree(routes), data)
 
 
 def _check_diagonal(job):
@@ -527,7 +570,7 @@ def _check_diagonal(job):
     else:
         ok = bool(np.all(diag == 0))
     data = {"order": order, "candidates": len(cand)}
-    return _passed("diagonal-candidates", data) if ok else _failed("diagonal-candidates", data)
+    return _verdict("diagonal-candidates", ok, data)
 
 
 def _check_smoothing(job):
@@ -545,7 +588,7 @@ def _check_smoothing(job):
         "n": job.params["smoothing_n"],
         "deviation": dev,
     }
-    return _passed("smoothing-identity", data) if dev < 1e-8 else _failed("smoothing-identity", data)
+    return _verdict("smoothing-identity", dev < 1e-8, data)
 
 
 def _check_rank(job):
@@ -568,11 +611,8 @@ def _check_rank(job):
     }
     if result.indeterminate:
         return _skipped("truncation-rank", "the singular value gap is indeterminate")
-    if invertible_disc and result.rank != order:
-        return _failed("truncation-rank", data)
-    if origin_zero and result.rank >= order:
-        return _failed("truncation-rank", data)
-    return _passed("truncation-rank", data)
+    ok = not (invertible_disc and result.rank != order) and not (origin_zero and result.rank >= order)
+    return _verdict("truncation-rank", ok, data)
 
 
 def _check_gap_trend(job, report):
@@ -608,7 +648,7 @@ def _check_gap_trend(job, report):
         "off_gaps": off_gaps,
     }
     ok = shrinking and stable_off
-    return _passed("pseudospectrum-trend", data) if ok else _failed("pseudospectrum-trend", data)
+    return _verdict("pseudospectrum-trend", ok, data)
 
 
 def _check_residual_decay(job, report):
@@ -641,35 +681,27 @@ def _check_residual_decay(job, report):
             )
             residuals.append(rep.residual)
     except OracleError as exc:
-        return _failed("residual-decay", {"error": str(exc), "residuals": residuals})
+        return _verdict("residual-decay", False, {"error": str(exc), "residuals": residuals})
     data = {"lambda": lam, "m_ladder": list(job.params["m_ladder"]), "residuals": residuals}
     ok = all(b < a for a, b in zip(residuals, residuals[1:]))
-    return _passed("residual-decay", data) if ok else _failed("residual-decay", data)
+    return _verdict("residual-decay", ok, data)
 
 
 def _check_norm_ladder(job):
     sp = job.space
-    if sp.variant == "bergman" and sp.p == 2:
-        ladder = norm_asymptotics(sp, job.params["m_max"])
-        vals = [v for _, v in ladder]
+    if not (sp.variant == "bergman" and sp.p == 2 or sp.variant == "bloch"):
+        return _skipped("norm-ladder", "ladder constants cover the Bergman (p = 2) and Bloch spaces")
+    ladder = norm_asymptotics(sp, job.params["m_max"])
+    top = ladder[-1][1]
+    data = {"ladder": [[m, v] for m, v in ladder]}
+    if sp.variant == "bergman":
         # convergence is judged on the top two rungs; the low rungs are
         # still climbing toward the limit by design
-        drift = abs(vals[-1] / vals[-2] - 1.0)
-        data = {"ladder": [[m, v] for m, v in ladder], "drift": drift}
-        return _passed("norm-ladder", data) if drift < 0.02 else _failed("norm-ladder", data)
-    if sp.variant == "bloch":
-        ladder = norm_asymptotics(sp, job.params["m_max"])
-        m_top, v_top = ladder[-1]
-        expected = 4.0 * math.exp(-1.0)
-        ratio_err = abs(v_top / expected - 1.0)
-        data = {
-            "ladder": [[m, v] for m, v in ladder],
-            "expected_constant": expected,
-            "top_value": v_top,
-            "relative_error": ratio_err,
-        }
-        return _passed("norm-ladder", data) if ratio_err < 0.01 else _failed("norm-ladder", data)
-    return _skipped("norm-ladder", "ladder constants cover the Bergman (p = 2) and Bloch spaces")
+        data["drift"] = abs(top / ladder[-2][1] - 1.0)
+        return _verdict("norm-ladder", data["drift"] < 0.02, data)
+    expected = 4.0 * math.exp(-1.0)
+    data.update(expected_constant=expected, top_value=top, relative_error=abs(top / expected - 1.0))
+    return _verdict("norm-ladder", data["relative_error"] < 0.01, data)
 
 
 def cmd_verify(args) -> int:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .analysis import (
     AnalysisError,
@@ -287,6 +286,8 @@ def _periodic_radius(w: Weight, angle: RotationAngle, grid: int = 1 << 14) -> fl
         orbit_vals = evaluate(w, z * alpha ** np.arange(q))
         with np.errstate(divide="ignore"):
             return -float(np.mean(np.log(np.abs(orbit_vals))))
+
+    from scipy import optimize
 
     res = optimize.minimize_scalar(
         neg_mean, bounds=(theta0 - span, theta0 + span), method="bounded",

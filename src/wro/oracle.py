@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular, toeplitz
-from scipy.special import gammaln
 
 from .ergodic import ap_membership, ordered_parallel_map
 from .weights import (
@@ -122,14 +120,13 @@ def build_truncation(sp: SpaceSpec, w: Weight, rotation, order: int) -> Truncati
         raise OracleError("truncation needs coefficient data: %s" % exc) from exc
     alpha = rotation.alpha()
     apow = alpha ** np.arange(order)
-    first_row = np.zeros(order, dtype=complex)
-    first_row[0] = coeffs[0]
-    toep = toeplitz(coeffs, first_row)
+    idx = np.arange(order)
+    # lower Toeplitz matrix of the coefficients: toep[n, k] = c_{n-k}
+    toep = np.tril(coeffs[idx[:, None] - idx])
     entries = toep * apow[None, :] * (nus[:, None] / nus[None, :])
     # the diagonal is alpha^k w(0) by definition; write it with the same
     # expression the candidate law uses so the agreement is bitwise, not
     # merely up to rounding of the elementwise products
-    idx = np.arange(order)
     entries[idx, idx] = apow * coeffs[0]
     return TruncationMatrix(
         entries=entries,
@@ -177,6 +174,8 @@ def _gap_dense(T: TruncationMatrix, lam: complex) -> float:
     # sum norm: the operator norm of the inverse on l^1 is the largest
     # column sum; the matrix is lower triangular so back substitution
     # against the identity is exact
+    from scipy.linalg import solve_triangular
+
     diag = np.abs(np.diag(a))
     if float(diag.min()) < 1e-300:
         return 0.0
@@ -258,6 +257,8 @@ class _BandedShift:
 def _ell1_gap(ab: np.ndarray) -> float:
     """1 / ||A^{-1}||_1 for lower banded triangular A: the largest column
     sum of one banded solve against the identity; 0.0 on overflow."""
+    from scipy.linalg import lapack
+
     n = ab.shape[1]
     inv, info = lapack.ztbtrs(ab, np.eye(n, dtype=complex), uplo="L", overwrite_b=1)
     colsum = float(np.max(np.sum(np.abs(inv), axis=0)))
@@ -275,6 +276,8 @@ def _top_ritz(alphas: list, betas: list) -> Tuple[float, float]:
     runs the same two routines but adds 25-35 us of argument handling
     per call, about a quarter of a typical point's Lanczos time.
     """
+    from scipy.linalg import lapack
+
     k = len(alphas)
     if k == 1:
         return alphas[0], 1.0
@@ -298,6 +301,8 @@ def _inverse_lanczos(ab: np.ndarray, start: np.ndarray, floor: float) -> Optiona
     None when the top Ritz pair has not converged after
     LANCZOS_MAX_STEPS steps.
     """
+    from scipy.linalg import lapack
+
     n = ab.shape[1]
     basis = np.empty((min(32, LANCZOS_MAX_STEPS), n), dtype=complex)
     alphas = []
@@ -603,36 +608,26 @@ def singular_sequence_residual(
 
 
 def _bergman_qm_norm_pow(s: int) -> float:
-    """||q_{2s}||_{A^2}^2 pattern: integral of |(1+z)/2|^{2s} over the disc,
-    computed exactly as sum_k C(s,k)^2 4^{-s} pi/(k+1)."""
-    ks = np.arange(s + 1)
-    log_binom = gammaln(s + 1) - gammaln(ks + 1) - gammaln(s - ks + 1)
-    terms = np.exp(2.0 * (log_binom - s * math.log(2.0))) * (np.pi / (ks + 1.0))
-    return float(np.sum(terms))
+    """||q_{2s}||_{A^2}^2, the integral of |(1+z)/2|^{2s} over the disc.
+
+    In the monomial basis it is 4^{-s} pi sum_k C(s,k)^2 / (k+1), and
+    the Vandermonde identity sums that to 4^{-s} pi C(2s+1,s) / (s+1)
+    = pi (2s+1) / (s+1)^2 prod_{j=1}^{s} (1 - 1/(2j)).
+    """
+    log_prod = float(np.sum(np.log1p(-0.5 / np.arange(1, s + 1))))
+    return math.pi * (2 * s + 1) / (s + 1) ** 2 * math.exp(log_prod)
 
 
 def _bloch_qm_norm(m: int) -> float:
     """Bloch norm of q_m: |q_m(0)| + sup (1-r^2) (m/2) ((1+r)/2)^{m-1}.
 
     The supremum over the disc is attained on the positive real axis
-    (|1+z| <= 1+|z| pointwise), and the radial profile is unimodal, so
-    a bounded golden section search on the log is exact to roundoff.
+    (|1+z| <= 1+|z| pointwise) at r* = (m-1)/(m+1), where the profile
+    equals 2 (m/(m+1))^{m+1}; q_0 = 1 has norm 1.
     """
-    from scipy import optimize
-
     if m == 0:
         return 1.0
-
-    def neg_log_profile(r: float) -> float:
-        return -(math.log1p(-r * r) + (m - 1) * math.log((1.0 + r) / 2.0))
-
-    res = optimize.minimize_scalar(
-        neg_log_profile, bounds=(0.0, 1.0 - 1e-15), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    sup = (m / 2.0) * math.exp(-float(res.fun))
-    sup = max(sup, (m / 2.0) * math.exp(-neg_log_profile(0.0)))
-    return 2.0 ** (-m) + sup
+    return 2.0 ** (-m) + 2.0 * math.exp(-(m + 1) * math.log1p(1.0 / m))
 
 
 def norm_asymptotics(sp: SpaceSpec, m_max: int) -> tuple:
@@ -641,7 +636,7 @@ def norm_asymptotics(sp: SpaceSpec, m_max: int) -> tuple:
     Bergman (integer p): returns (m, m^{3/2} ||q_m||_p^p) on a ladder of
     even m up to m_max; the scaled values stabilizing to a constant is
     the predicted decay rate.  Bloch: returns (m, m ||q_m||_Bloch) with
-    the true Bloch norm measured by maximization.
+    the Bloch norm in closed form, 2^{-m} + 2 (m/(m+1))^{m+1}.
     """
     if not (2 <= m_max <= MAX_LADDER_M):
         raise OracleError("m_max must lie in 2..%d" % MAX_LADDER_M)
@@ -652,15 +647,8 @@ def norm_asymptotics(sp: SpaceSpec, m_max: int) -> tuple:
         p = float(sp.p)
         if p != int(p):
             raise OracleError("the norm ladder needs an integer p")
-        p = int(p)
-        out = []
-        for m in ladder:
-            s2 = p * m
-            if s2 % 2:
-                raise OracleError("p * m must be even on the ladder")
-            val = m ** 1.5 * _bergman_qm_norm_pow(s2 // 2)
-            out.append((m, float(val)))
-        return tuple(out)
+        # the ladder holds even m only, so s = p m / 2 is an integer
+        return tuple((m, float(m ** 1.5 * _bergman_qm_norm_pow(int(p) * m // 2))) for m in ladder)
     if sp.variant == "bloch":
         return tuple((m, float(m * _bloch_qm_norm(m))) for m in ladder)
     raise OracleError("norm ladders cover the Bergman and Bloch spaces")

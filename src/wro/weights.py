@@ -323,13 +323,6 @@ def weight_at_origin(w: Weight) -> complex:
     return complex(evaluate(w, 0.0))
 
 
-def weight_degree(w: Weight) -> int:
-    """Degree of a polynomial weight (errors on other representations)."""
-    if isinstance(w.rep, Polynomial):
-        return w.rep.degree
-    raise WeightError("degree is only defined for polynomial weights")
-
-
 def taylor_coefficients(w: Weight, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients of w at the origin.
 

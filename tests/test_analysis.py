@@ -12,16 +12,19 @@ from wro import (
     ConvergenceError,
     WeightError,
     boundary_sample_weight,
+    classify,
     factorization_summary,
     find_zeros,
     geometric_mean,
     invertibility_profile,
+    named_rotation,
     polynomial,
     rational,
     taylor,
     torus_polynomial,
 )
 from wro.analysis import YES, NO, UNKNOWN
+from wro.weights import space
 
 
 def poly_from_roots(roots, lead=1.0):
@@ -55,6 +58,20 @@ def test_find_zeros_double_zero_multiplicity():
     assert len(zs.inside) == 1
     assert zs.inside[0][1] == 2
     assert zs.total_inside == 2
+
+
+def test_find_zeros_tiny_derivative_at_double_zero():
+    # w'(0) = 4e-295: the Newton polish must not throw the double zero
+    # near 0 out of the disc (it once landed at -6.8e230 i)
+    w = polynomial([2.72e-64j, 4.03e-295, 1j, 1.0], tags=("disc_algebra",))
+    zs = find_zeros(w)
+    assert len(zs.inside) == 1 and zs.inside[0][1] == 2
+    assert abs(zs.inside[0][0]) < 1e-30
+    assert len(zs.boundary) == 1 and zs.boundary[0][1] == 1
+    assert abs(zs.boundary[0][0] - (-1j)) < 1e-12
+    assert geometric_mean(w) == pytest.approx(1.0, rel=1e-12)
+    rep = classify(space("bergman", p=2), w, named_rotation("golden"))
+    assert rep.sets["sigma"].citation == "bergman-trichotomy(3)"
 
 
 def test_find_zeros_ambiguous_band_rejected():

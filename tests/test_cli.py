@@ -3,6 +3,8 @@ rendered output, and the verify battery."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -69,6 +71,49 @@ def test_load_job_rejects_unknown_fields(tmp_path):
     path = _bergman_job(tmp_path, params={"radius_factors": []}, name="bad4.json")
     with pytest.raises(WeightError):
         load_job(path)
+
+
+@pytest.mark.parametrize("params", [
+    {"ladder": [64, math.inf]},            # OverflowError traceback before
+    {"radius_factors": [1, math.inf]},     # scan exited 0 with inf,nan,inf rows
+    {"radius_factors": [math.nan]},
+    {"truncation": True},                  # TypeError traceback before
+    {"ladder": [64.5]},
+    {"ladder": [10 ** 400]},
+    {"truncation": cli.MAX_TRUNCATION + 1},
+    {"ladder": [64, cli.MAX_TRUNCATION + 1]},
+    {"m_max": cli.MAX_LADDER_M + 1},
+    {"angles": cli.MAX_ANGLES + 1},
+    {"smoothing_n": cli.MAX_SMOOTHING_N + 1},
+    {"grid": 1 << 24},                     # about 54 GB of membership margins
+    {"grid": 1 << 16, "m_ladder": [64]},   # 65536 x 130 cells
+], ids=lambda p: json.dumps(p)[:40])
+def test_scan_exit_1_on_bad_params(tmp_path, capsys, params):
+    job = _bergman_job(tmp_path, params=params)
+    assert main(["scan", "--job", job, "--out", str(tmp_path / "grid.csv")]) == 1
+    assert "param" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_param_caps_admit_defaults_and_boundaries(tmp_path):
+    job = load_job(_bergman_job(tmp_path, params={
+        "truncation": cli.MAX_TRUNCATION, "ladder": [64.0, cli.MAX_TRUNCATION],
+        "m_max": cli.MAX_LADDER_M, "grid": 1 << 15, "n_max": 128, "m_ladder": [4, 16],
+    }))
+    assert job.params["ladder"] == [64, cli.MAX_TRUNCATION]
+    assert job.params["grid"] * job.params["n_max"] == cli.MAX_MEMBERSHIP_CELLS
+    assert PARAM_DEFAULTS["grid"] * PARAM_DEFAULTS["n_max"] <= cli.MAX_MEMBERSHIP_CELLS
+
+
+def test_import_cli_loads_no_scipy():
+    # scipy is imported only inside the gap routes and the periodic
+    # radius search, so classify, plot and most radius calls never load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, wro.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

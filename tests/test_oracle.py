@@ -3,12 +3,13 @@ and the space norm ladders."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 from wro import (
     OracleError,
@@ -30,7 +31,7 @@ from wro import (
 )
 from wro import oracle
 from wro.oracle import _gap_dense
-from wro.weights import space
+from wro.weights import space, taylor_coefficients
 
 GOLDEN = named_rotation("golden")
 BERGMAN = space("bergman", p=2)
@@ -101,6 +102,21 @@ def test_truncation_is_lower_triangular_shift_pattern():
     alpha = GOLDEN.alpha()
     assert m[3, 3] == alpha ** 3 * (-2.0)
     assert m[4, 3] == pytest.approx(alpha ** 3, abs=1e-15)
+
+
+def test_truncation_entries_bitwise_match_scipy_toeplitz():
+    # the lower Toeplitz matrix is built by indexing; the entries are the
+    # ones scipy's toeplitz gave, bit for bit
+    for w in (polynomial([1j, -2.5, 1, 0.3 - 0.2j]), rational([1, -0.5j], [1, 0.4])):
+        for sp in (BERGMAN, space("dirichlet", p=2), space("ell1a")):
+            T = build_truncation(sp, w, GOLDEN, 40)
+            c = taylor_coefficients(w, 40)
+            first_row = np.zeros(40, dtype=complex)
+            first_row[0] = c[0]
+            apow = GOLDEN.alpha() ** np.arange(40)
+            ref = toeplitz(c, first_row) * apow[None, :] * (T.nus[:, None] / T.nus[None, :])
+            np.fill_diagonal(ref, apow * c[0])
+            assert np.array_equal(T.entries.view(float), ref.view(float))
 
 
 def test_truncation_validation():
@@ -385,6 +401,31 @@ def test_residual_error_paths():
 # ----------------------------------------------------------------------
 # norm ladders for the peaked polynomials
 # ----------------------------------------------------------------------
+
+
+def test_bergman_qm_norm_matches_exact_sum():
+    """The closed form against the monomial sum pi 4^{-s} sum_k C(s,k)^2 / (k+1)
+    in exact rational arithmetic."""
+    for s in (0, 1, 2, 3, 10, 99, 500, 1000, 2000):
+        lcm = math.lcm(*range(1, s + 2))
+        total = sum(math.comb(s, k) ** 2 * (lcm // (k + 1)) for k in range(s + 1))
+        exact = Fraction(total, lcm * 4 ** s)
+        # the Vandermonde identity the closed form rests on
+        assert exact == Fraction(math.comb(2 * s + 1, s), (s + 1) * 4 ** s)
+        assert oracle._bergman_qm_norm_pow(s) == pytest.approx(
+            math.pi * float(exact), rel=1e-13, abs=0.0
+        )
+
+
+def test_bloch_qm_norm_matches_radial_grid_maximum():
+    """|q_m(0)| + max (1-r^2) (m/2) ((1+r)/2)^{m-1} over a fine radial grid."""
+    r = np.linspace(0.0, 1.0, 1_000_001)
+    for m in range(0, 51):
+        profile = (1.0 - r * r) * (m / 2.0) * ((1.0 + r) / 2.0) ** max(m - 1, 0)
+        brute = 2.0 ** -m + float(profile.max())
+        closed = oracle._bloch_qm_norm(m)
+        assert brute <= closed * (1.0 + 1e-14)
+        assert closed == pytest.approx(brute, rel=1e-9, abs=0.0)
 
 
 def test_bergman_qm_ladder_frozen():
