@@ -29,7 +29,6 @@ from .classify import (
     SpectrumReport,
     Status,
     circle,
-    circle_union,
     classify,
     closed_annulus,
     closed_disc,

@@ -13,6 +13,10 @@ representations can still certify boundary invertibility (grid minimum
 minus the declared tail bound) and then count interior zeros through the
 argument principle; BoundarySamples weights mostly answer "unknown".
 
+The analysis is one variable: a torus polynomial in a single variable is
+collapsed first (``TorusPolynomial.axis_polynomial``), and the zero,
+invertibility and factorization questions refuse any other torus weight.
+
 Tri-state answers are the strings "yes", "no", "unknown".
 """
 
@@ -199,10 +203,10 @@ def find_zeros(w: Weight) -> ZeroSet:
             total_inside=sum(m for _, m in inside),
         )
     if isinstance(rep, Taylor):
-        grid = 4096
-        vals = boundary_values(w, grid)
+        vals = boundary_values(w, 4096)
         lo = float(np.min(np.abs(vals)))
-        if lo - rep.tail_bound <= TOL_INV:
+        # "not >": a NaN grid minimum certifies nothing
+        if not (lo - rep.tail_bound > TOL_INV):
             raise AnalysisError(
                 "boundary invertibility not certified (grid minimum %.3g, "
                 "tail bound %.3g); zero count unavailable" % (lo, rep.tail_bound)
@@ -213,31 +217,7 @@ def find_zeros(w: Weight) -> ZeroSet:
         if float(np.min(np.abs(vals))) <= TOL_INV:
             raise AnalysisError("sampled loop passes too close to the origin to count zeros")
         return ZeroSet(count_only=True, total_inside=_winding_count(vals), certified=False)
-    if isinstance(rep, TorusPolynomial):
-        axis = torus_axis_polynomial(w)
-        if axis is not None:
-            return find_zeros(axis[1])
-        raise AnalysisError("zero analysis is one variable only")
-    raise AnalysisError("unsupported representation")
-
-
-def torus_axis_polynomial(w: Weight):
-    """If a torus polynomial only involves one variable, return
-    (axis index, equivalent one variable polynomial weight)."""
-    rep = w.rep
-    if not isinstance(rep, TorusPolynomial):
-        return None
-    used = rep.axes_used()
-    if len(used) > 1:
-        return None
-    axis = used[0] if used else 0
-    deg = max(exp[axis] for exp, _ in rep.terms)
-    coeffs = [0j] * (deg + 1)
-    for exp, c in rep.terms:
-        coeffs[exp[axis]] += c
-    from .weights import polynomial as _poly_weight
-
-    return axis, _poly_weight(coeffs)
+    raise AnalysisError("zero analysis is one variable only")
 
 
 # ----------------------------------------------------------------------
@@ -339,22 +319,6 @@ class InvertibilityProfile:
 
 def invertibility_profile(w: Weight) -> InvertibilityProfile:
     rep = w.rep
-    if isinstance(rep, (Polynomial, Rational)):
-        zs = find_zeros(w)
-        boundary = NO if zs.boundary else YES
-        analytic = NO if (zs.inside or zs.boundary) else YES
-        # poles sit outside the closed disc, so the coefficient series is
-        # absolutely summable and invertibility in the series algebra is
-        # exactly zero freeness of the closed disc
-        return InvertibilityProfile(analytic, boundary, analytic, boundary)
-    if isinstance(rep, Taylor):
-        vals = boundary_values(w, 4096)
-        lo = float(np.min(np.abs(vals)))
-        if lo - rep.tail_bound > TOL_INV:
-            count = _winding_count(vals)
-            analytic = YES if count == 0 else NO
-            return InvertibilityProfile(analytic, YES, analytic, YES)
-        return InvertibilityProfile(UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
     if isinstance(rep, BoundarySamples):
         vals = np.abs(np.asarray(rep.values, dtype=complex))
         if float(vals.min()) < TOL_ZERO:
@@ -363,12 +327,19 @@ def invertibility_profile(w: Weight) -> InvertibilityProfile:
             # because a single point carries no measure
             return InvertibilityProfile(NO, NO, NO, UNKNOWN)
         return InvertibilityProfile(UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
-    if isinstance(rep, TorusPolynomial):
-        axis = torus_axis_polynomial(w)
-        if axis is not None:
-            return invertibility_profile(axis[1])
+    try:
+        zs = find_zeros(w)
+    except AnalysisError:
+        if not isinstance(rep, Taylor):
+            raise
+        # boundary invertibility of the series is not certified
         return InvertibilityProfile(UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
-    raise AnalysisError("unsupported representation")
+    # poles sit outside the closed disc and certified series are summable,
+    # so invertibility in the series algebra is exactly zero freeness of
+    # the closed disc
+    boundary = NO if zs.boundary else YES
+    analytic = NO if (zs.inside_multiplicity or zs.boundary) else YES
+    return InvertibilityProfile(analytic, boundary, analytic, boundary)
 
 
 @dataclass(frozen=True)
@@ -391,12 +362,6 @@ class FactorizationSummary:
 
 def factorization_summary(w: Weight) -> FactorizationSummary:
     rep = w.rep
-    if isinstance(rep, TorusPolynomial):
-        axis = torus_axis_polynomial(w)
-        if axis is None:
-            raise AnalysisError("factorization is one variable only")
-        w = axis[1]
-        rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
         zs = find_zeros(w)
         return FactorizationSummary(
@@ -408,41 +373,27 @@ def factorization_summary(w: Weight) -> FactorizationSummary:
             outer_value_mod=geometric_mean(w, 1.0),
             singular_part_present=False,
         )
+    if not isinstance(rep, (Taylor, BoundarySamples)):
+        raise AnalysisError("factorization is one variable only")
+    count = None
     if isinstance(rep, Taylor):
         try:
-            zs = find_zeros(w)
+            count = find_zeros(w).total_inside
         except AnalysisError:
-            return FactorizationSummary(
-                zeros_inside=(),
-                zeros_boundary=(),
-                zero_count_inside=None,
-                count_only=True,
-                blaschke_finite=None,
-                outer_value_mod=geometric_mean(w, 1.0),
-                singular_part_present=None,
-            )
-        # certified boundary invertibility: w is continuous on the closed
-        # disc (summable coefficients) and zero free on the circle, so it
-        # has finitely many zeros and no singular inner factor (a singular
-        # factor forces radial limits of modulus zero somewhere on the
-        # circle, contradicting |w| > 0 there)
-        return FactorizationSummary(
-            zeros_inside=(),
-            zeros_boundary=(),
-            zero_count_inside=zs.total_inside,
-            count_only=True,
-            blaschke_finite=True,
-            outer_value_mod=geometric_mean(w, 1.0),
-            singular_part_present=False,
-        )
-    if isinstance(rep, BoundarySamples):
-        return FactorizationSummary(
-            zeros_inside=(),
-            zeros_boundary=(),
-            zero_count_inside=None,
-            count_only=True,
-            blaschke_finite=None,
-            outer_value_mod=geometric_mean(w, 1.0),
-            singular_part_present=None,
-        )
-    raise AnalysisError("unsupported representation")
+            pass
+    # a count means certified boundary invertibility: w is continuous on
+    # the closed disc (summable coefficients) and zero free on the circle,
+    # so it has finitely many zeros and no singular inner factor (a
+    # singular factor forces radial limits of modulus zero somewhere on the
+    # circle, contradicting |w| > 0 there).  Without one (an uncertified
+    # series, sampled data) neither is decided
+    certified = count is not None
+    return FactorizationSummary(
+        zeros_inside=(),
+        zeros_boundary=(),
+        zero_count_inside=count,
+        count_only=True,
+        blaschke_finite=True if certified else None,
+        outer_value_mod=geometric_mean(w, 1.0),
+        singular_part_present=False if certified else None,
+    )

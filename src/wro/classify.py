@@ -48,14 +48,11 @@ import numpy as np
 
 from . import ergodic
 from .analysis import (
-    YES,
     FactorizationSummary,
     _polished_roots,
     _rep_fractions,
     factorization_summary,
     geometric_mean,
-    invertibility_profile,
-    torus_axis_polynomial,
 )
 from .weights import (
     BoundarySamples,
@@ -214,20 +211,6 @@ def closed_annulus(r_in: float, r_out: float) -> CircularSet:
 
 def origin_set() -> CircularSet:
     return CircularSet((Component("origin"),))
-
-
-def circle_union(radii) -> CircularSet:
-    """Union of circles, merging radii within CIRCLE_MERGE_TOL (relative)."""
-    rs = sorted(float(r) for r in radii)
-    if not rs:
-        return empty_set()
-    merged = [[rs[0]]]
-    for r in rs[1:]:
-        if r - merged[-1][-1] <= CIRCLE_MERGE_TOL * max(1.0, r):
-            merged[-1].append(r)
-        else:
-            merged.append([r])
-    return CircularSet(tuple(Component("circle", r=sum(g) / len(g)) for g in merged))
 
 
 # ----------------------------------------------------------------------
@@ -542,9 +525,10 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
         return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
 
     if isinstance(rep, Taylor):
-        prof = invertibility_profile(w)
-        g = geometric_mean(w, 1.0)
-        if prof.boundary == YES:
+        # a known zero count means boundary invertibility is certified
+        fact = factorization_summary(w)
+        g = fact.outer_value_mod
+        if fact.zero_count_inside is not None:
             cite = "%s(boundary-certified)" % rule
             sets = _sandwich(cite, g)
             ap = circle(g)
@@ -653,11 +637,10 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
             raise ClassifyError(
                 "weight has %d variables, space has dim %d" % (rep.dim, sp.dim)
             )
-        axis = torus_axis_polynomial(w)
-        if axis is None:
+        wa = rep.axis_polynomial()
+        if wa is None:
             g = math.exp(ergodic._torus_log_mean(rep))
             return _finish(_sandwich("%s(unresolved)" % rule, g))
-        wa = axis[1]
     elif isinstance(rep, (Polynomial, Rational)):
         # a one variable weight read as w(z_1, ..., z_n) = w(z_1)
         wa = w

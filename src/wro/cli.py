@@ -51,19 +51,20 @@ from .classify import (
 from .ergodic import group_rotation_radius
 from .oracle import (
     MAX_LADDER_M,
+    MAX_RESIDUAL_WINDOW,
     MAX_TRUNCATION,
     OracleError,
     build_truncation,
     check_smoothing_identity,
     norm_asymptotics,
     pseudospectrum_scan,
+    residual_window,
     singular_sequence_residual,
     truncation_rank,
 )
 from .weights import (
     Polynomial,
     RotationAngle,
-    TorusPolynomial,
     Weight,
     WeightError,
     _is_real_number,
@@ -81,7 +82,6 @@ from .weights import (
 #: tunables a job may override; everything else is an error
 PARAM_DEFAULTS = {
     "grid": 4096,            # membership scan grid (power of two)
-    "n_max": 200,            # membership scan horizon
     "truncation": 256,       # matrix model order
     "ladder": [64, 128, 256],          # orders for the gap trend check
     "m_ladder": [4, 16, 64],           # smoothing half widths for residuals
@@ -93,12 +93,12 @@ PARAM_DEFAULTS = {
     "m_max": 10000,          # top of the norm asymptotics ladder
 }
 
-_INT_PARAMS = ("grid", "n_max", "truncation", "peak_power", "angles", "smoothing_n", "m_max")
+_INT_PARAMS = ("grid", "truncation", "peak_power", "angles", "smoothing_n", "m_max")
 _LIST_PARAMS = ("ladder", "m_ladder", "radius_factors")
 
 #: membership scan budget: grid points times orbit horizon.  Every cell
 #: holds a few complex temporaries and the scan may double the grid; the
-#: defaults use 4096 x 200, about a fifth of it
+#: defaults use 4096 x 130, about an eighth of it
 MAX_MEMBERSHIP_CELLS = 1 << 22
 #: angles per circle in a scan
 MAX_ANGLES = 1 << 14
@@ -168,7 +168,7 @@ def _merge_params(doc: dict) -> dict:
     if max(out["ladder"]) > MAX_TRUNCATION:
         raise WeightError("param ladder entries must be at most %d" % MAX_TRUNCATION)
     # the residual check scans orbits of max(2 m + 2, 64) steps for each m
-    horizon = max(out["n_max"], 2 * max(out["m_ladder"]) + 2, 64)
+    horizon = max(2 * max(out["m_ladder"]) + 2, 64)
     if out["grid"] * horizon > MAX_MEMBERSHIP_CELLS:
         raise WeightError(
             "params grid x orbit horizon = %d x %d exceed the budget of %d cells"
@@ -192,12 +192,19 @@ def load_job(path: str) -> JobDocument:
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
         raise WeightError("params must be a JSON object")
-    return JobDocument(
+    job = JobDocument(
         space=parse_space(doc["space"]),
         weight=parse_weight(doc["weight"]),
         rotation=parse_rotation(doc["rotation"]),
         params=_merge_params(params_doc),
     )
+    # the residual check's window grows with peak_power, m_ladder and deg w
+    try:
+        residual_window(job.weight, max(job.params["m_ladder"]), job.params["peak_power"])
+    except OracleError as exc:
+        raise WeightError("params peak_power and m_ladder: %s (at most %d)"
+                          % (exc, MAX_RESIDUAL_WINDOW)) from None
+    return job
 
 
 # ----------------------------------------------------------------------
@@ -300,12 +307,10 @@ def _radius_routes(job: JobDocument) -> Dict[str, Optional[float]]:
         "quadrature": None,
         "ergodic": None,
     }
-    torus = isinstance(w.rep, TorusPolynomial)
-    if w.closed_form and not torus:
-        routes["closed_form"] = geometric_mean(w, 1.0, method="closed_form")
-    if not torus:
+    # geometric_mean refuses the routes a representation lacks
+    for method in ("closed_form", "quadrature"):
         try:
-            routes["quadrature"] = geometric_mean(w, 1.0, method="quadrature")
+            routes[method] = geometric_mean(w, 1.0, method=method)
         except (ConvergenceError, AnalysisError, WeightError):
             pass
     try:
@@ -594,7 +599,7 @@ def _check_smoothing(job):
 def _check_rank(job):
     if not _model_ready(job):
         return _skipped("truncation-rank", "no sequence space model")
-    if not job.weight.closed_form or isinstance(job.weight.rep, TorusPolynomial):
+    if not job.weight.closed_form:
         return _skipped("truncation-rank", "needs a closed form one variable weight")
     order = job.params["truncation"]
     t = build_truncation(job.space, job.weight, job.rotation, order)

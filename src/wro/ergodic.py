@@ -36,7 +36,6 @@ from .analysis import (
     ConvergenceError,
     _polished_roots,
     geometric_mean,
-    torus_axis_polynomial,
 )
 from .weights import (
     BoundarySamples,
@@ -340,12 +339,12 @@ def group_rotation_radius(w: Weight, rotation) -> float:
         if rotation.relations:
             raise AnalysisError("nonempty relation lattices are not supported")
         if isinstance(w.rep, TorusPolynomial):
-            axis = torus_axis_polynomial(w)
-            if axis is not None:
-                return geometric_mean(axis[1], 1.0)
-            return math.exp(_torus_log_mean(w.rep))
-        # a one variable weight read as w(z_1): the torus mean collapses
-        # to the circle mean of the single variable
+            wa = w.rep.axis_polynomial()
+            if wa is None:
+                return math.exp(_torus_log_mean(w.rep))
+            w = wa
+        # a weight in one variable: the torus mean collapses to the circle
+        # mean of that variable
         return geometric_mean(w, 1.0)
     if rotation.periodic:
         return _periodic_radius(w, rotation)

@@ -55,6 +55,8 @@ class OracleError(RuntimeError):
 
 MAX_TRUNCATION = 4096
 MAX_LADDER_M = 100_000
+#: largest coefficient window of the residual construction
+MAX_RESIDUAL_WINDOW = 1 << 15
 
 
 # ----------------------------------------------------------------------
@@ -502,6 +504,18 @@ def _space_norm(sp: SpaceSpec, coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs * nus))
 
 
+def residual_window(w: Weight, m: int, n: int) -> Optional[int]:
+    """Coefficient window of ``singular_sequence_residual`` (half width m,
+    peak power n), None for the non polynomial weights it refuses;
+    OracleError above MAX_RESIDUAL_WINDOW."""
+    if not isinstance(w.rep, Polynomial):
+        return None
+    order = n + (2 * m + 2) * max(w.rep.degree, 1) + 8
+    if order > MAX_RESIDUAL_WINDOW:
+        raise OracleError("truncation window %d is too large" % order)
+    return order
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     residual: float     # ||T G - lambda G|| / ||G|| in the space norm
@@ -532,7 +546,8 @@ def singular_sequence_residual(
     polynomial weights); the final norms are the space norms, so the
     returned quotient is the honest residual of an explicit vector.
     """
-    if not isinstance(w.rep, Polynomial):
+    order = residual_window(w, m, n)
+    if order is None:
         raise OracleError("the residual construction needs a polynomial weight")
     if m < 2:
         raise OracleError("m must be at least 2")
@@ -541,10 +556,6 @@ def singular_sequence_residual(
     lam = complex(lam)
     if abs(lam) == 0.0:
         raise OracleError("lambda must be nonzero")
-    deg = max(w.rep.degree, 1)
-    order = n + (2 * m + 2) * deg + 8
-    if order > (1 << 15):
-        raise OracleError("truncation window %d is too large" % order)
 
     horizon = max(2 * m + 2, 64)
     verdict = ap_membership(w, rotation, abs(lam), n_max=horizon, grid=grid)

@@ -51,7 +51,6 @@ read as real.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -187,6 +186,18 @@ class TorusPolynomial:
                 if e:
                     used.add(i)
         return tuple(sorted(used))
+
+    def axis_polynomial(self) -> Optional["Weight"]:
+        """The equal one variable polynomial weight when at most one
+        variable occurs (a constant is read in z_1), else None."""
+        used = self.axes_used()
+        if len(used) > 1:
+            return None
+        axis = used[0] if used else 0
+        coeffs = [0j] * (max(exp[axis] for exp, _ in self.terms) + 1)
+        for exp, c in self.terms:
+            coeffs[exp[axis]] += c
+        return polynomial(coeffs)
 
 
 Representation = Union[Polynomial, Rational, Taylor, BoundarySamples, TorusPolynomial]
@@ -560,13 +571,8 @@ def space(variant: str, **kw) -> SpaceSpec:
 # ----------------------------------------------------------------------
 
 
-def parse_weight(doc: Union[str, Mapping]) -> Weight:
+def parse_weight(doc: Mapping) -> Weight:
     """Parse the weight fragment of a job document."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise WeightError("weight is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, Mapping):
         raise WeightError("weight must be a JSON object")
     kind = doc.get("type")
@@ -603,13 +609,8 @@ def parse_weight(doc: Union[str, Mapping]) -> Weight:
     raise WeightError("unknown weight type %r" % kind)
 
 
-def parse_rotation(doc: Union[str, Mapping]) -> Rotation:
+def parse_rotation(doc: Mapping) -> Rotation:
     """Parse the rotation fragment of a job document."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise WeightError("rotation is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, Mapping):
         raise WeightError("rotation must be a JSON object")
     kind = doc.get("kind")
@@ -646,13 +647,8 @@ def parse_rotation(doc: Union[str, Mapping]) -> Rotation:
     raise WeightError("unknown rotation kind %r" % kind)
 
 
-def parse_space(doc: Union[str, Mapping]) -> SpaceSpec:
+def parse_space(doc: Mapping) -> SpaceSpec:
     """Parse the space fragment of a job document."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise WeightError("space is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, Mapping):
         raise WeightError("space must be a JSON object")
     variant = doc.get("variant")

@@ -226,6 +226,19 @@ def test_factorization_summary_taylor_count_only():
     assert fact.blaschke_finite is True
 
 
+@pytest.mark.parametrize("terms", [
+    {(0, 0): 1.0, (1, 0): -2.5, (2, 0): 1.0},   # one variable
+    {(0, 0): 2.0},                               # constant
+    {(0, 0): 4.0, (1, 1): 1.0},                  # mixed
+], ids=["single-axis", "constant", "mixed"])
+def test_one_variable_analysis_refuses_torus_weights(terms):
+    # callers collapse a single axis torus weight first (axis_polynomial)
+    w = torus_polynomial(2, terms)
+    for fn in (find_zeros, invertibility_profile, factorization_summary):
+        with pytest.raises(AnalysisError, match="one variable only"):
+            fn(w)
+
+
 def test_factorization_summary_degrades_for_samples():
     fact = factorization_summary(boundary_sample_weight([2.0] * 64))
     assert fact.zero_count_inside is None

@@ -49,7 +49,7 @@ def test_load_job_defaults_and_overrides(tmp_path):
     job = load_job(path)
     assert job.params["grid"] == 1024
     assert job.params["m_ladder"] == [2, 4]
-    assert job.params["n_max"] == PARAM_DEFAULTS["n_max"]
+    assert job.params["truncation"] == PARAM_DEFAULTS["truncation"]
     assert job.space.variant == "bergman"
 
 
@@ -87,6 +87,7 @@ def test_load_job_rejects_unknown_fields(tmp_path):
     {"smoothing_n": cli.MAX_SMOOTHING_N + 1},
     {"grid": 1 << 24},                     # about 54 GB of membership margins
     {"grid": 1 << 16, "m_ladder": [64]},   # 65536 x 130 cells
+    {"n_max": 200},                        # dropped: no command read it
 ], ids=lambda p: json.dumps(p)[:40])
 def test_scan_exit_1_on_bad_params(tmp_path, capsys, params):
     job = _bergman_job(tmp_path, params=params)
@@ -98,11 +99,38 @@ def test_scan_exit_1_on_bad_params(tmp_path, capsys, params):
 def test_param_caps_admit_defaults_and_boundaries(tmp_path):
     job = load_job(_bergman_job(tmp_path, params={
         "truncation": cli.MAX_TRUNCATION, "ladder": [64.0, cli.MAX_TRUNCATION],
-        "m_max": cli.MAX_LADDER_M, "grid": 1 << 15, "n_max": 128, "m_ladder": [4, 16],
+        "m_max": cli.MAX_LADDER_M, "grid": 1 << 16, "m_ladder": [4, 16],
     }))
     assert job.params["ladder"] == [64, cli.MAX_TRUNCATION]
-    assert job.params["grid"] * job.params["n_max"] == cli.MAX_MEMBERSHIP_CELLS
-    assert PARAM_DEFAULTS["grid"] * PARAM_DEFAULTS["n_max"] <= cli.MAX_MEMBERSHIP_CELLS
+    # the orbit horizon is max(2 max(m_ladder) + 2, 64) = 64 here
+    assert job.params["grid"] * 64 == cli.MAX_MEMBERSHIP_CELLS
+    default_horizon = max(2 * max(PARAM_DEFAULTS["m_ladder"]) + 2, 64)
+    assert PARAM_DEFAULTS["grid"] * default_horizon <= cli.MAX_MEMBERSHIP_CELLS
+
+
+# w = 1 - 2.5 z + z^2 has degree 2, so at the default m_ladder the
+# residual window is peak_power + (2 * 64 + 2) * 2 + 8
+def test_peak_power_over_the_residual_window_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran before the job was refused")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    job = _bergman_job(tmp_path, coeffs=(1, -2.5, 1), params={"peak_power": 1000000})
+    out = tmp_path / "ledger.json"
+    assert main(["verify", "--job", job, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "peak_power" in err and "truncation window 1000268" in err
+    assert not out.exists()
+
+
+def test_residual_window_at_the_cap_is_admitted(tmp_path):
+    cap = cli.MAX_RESIDUAL_WINDOW
+    job = load_job(_bergman_job(tmp_path, coeffs=(1, -2.5, 1),
+                                params={"peak_power": cap - 268}))
+    assert cli.residual_window(job.weight, 64, job.params["peak_power"]) == cap
+    with pytest.raises(WeightError, match="peak_power"):
+        load_job(_bergman_job(tmp_path, coeffs=(1, -2.5, 1),
+                              params={"peak_power": cap - 267}, name="over.json"))
 
 
 def test_import_cli_loads_no_scipy():
@@ -175,19 +203,23 @@ def test_classify_exit_3_on_unknown_sets(tmp_path):
     assert doc["sets"]["sigma_ap"]["status"] == "unknown"
 
 
+#: w = 1 - 2.5 z_1 + z_1^2 on the bidisc: one variable, g = 2
+POLYND_SINGLE_AXIS = {
+    "space": {"variant": "polydisc_bergman", "dim": 2, "p": 2},
+    "weight": {"type": "polynd", "dim": 2, "terms": [
+        {"exp": [0, 0], "coeff": 1},
+        {"exp": [1, 0], "coeff": -2.5},
+        {"exp": [2, 0], "coeff": 1},
+    ]},
+    "rotation": {"kind": "vector", "components": [
+        {"kind": "named", "name": "golden"},
+        {"kind": "named", "name": "sqrt2"},
+    ], "relations": []},
+}
+
+
 def test_classify_minus_infinity_index(tmp_path):
-    job = _write_job(tmp_path, "poly.json", {
-        "space": {"variant": "polydisc_bergman", "dim": 2, "p": 2},
-        "weight": {"type": "polynd", "dim": 2, "terms": [
-            {"exp": [0, 0], "coeff": 1},
-            {"exp": [1, 0], "coeff": -2.5},
-            {"exp": [2, 0], "coeff": 1},
-        ]},
-        "rotation": {"kind": "vector", "components": [
-            {"kind": "named", "name": "golden"},
-            {"kind": "named", "name": "sqrt2"},
-        ], "relations": []},
-    })
+    job = _write_job(tmp_path, "poly.json", POLYND_SINGLE_AXIS)
     out = tmp_path / "report.json"
     assert main(["classify", "--job", job, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -298,6 +330,18 @@ def test_radius_skips_unavailable_routes(tmp_path):
     assert doc["routes"]["closed_form"] is None
 
 
+def test_radius_on_a_single_axis_torus_job(tmp_path):
+    # the circle mean routes refuse torus weights; the ergodic route
+    # collapses the single axis and takes its mean
+    job = _write_job(tmp_path, "poly.json", POLYND_SINGLE_AXIS)
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--job", job, "--out", str(out)]) == 0
+    routes = json.loads(out.read_text())["routes"]
+    assert routes["closed_form"] is None
+    assert routes["quadrature"] is None
+    assert routes["ergodic"] == pytest.approx(2.0, rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # scan command
 # ----------------------------------------------------------------------
@@ -363,7 +407,7 @@ CHECK_NAMES = (
 def test_verify_bergman_ledger(tmp_path):
     job = _bergman_job(tmp_path, coeffs=(1, -2.5, 1), params={
         "truncation": 64, "ladder": [32, 64], "angles": 16,
-        "m_ladder": [4, 16], "n_max": 100, "grid": 2048, "m_max": 300,
+        "m_ladder": [4, 16], "grid": 2048, "m_max": 300,
     })
     out = tmp_path / "ledger.json"
     assert main(["verify", "--job", job, "--out", str(out)]) == 0
@@ -389,8 +433,7 @@ def test_verify_bloch_norm_ladder_fails(tmp_path):
         "space": {"variant": "bloch"},
         "weight": {"type": "poly", "coeffs": [-2, 1]},
         "rotation": {"kind": "named", "name": "golden"},
-        "params": {"m_ladder": [4, 16], "m_max": 1000,
-                   "n_max": 100, "grid": 2048,
+        "params": {"m_ladder": [4, 16], "m_max": 1000, "grid": 2048,
                    "truncation": 64, "ladder": [32, 64], "angles": 8},
     })
     out = tmp_path / "ledger.json"

@@ -165,6 +165,17 @@ def test_torus_polynomial_validation():
     assert w.rep.axes_used() == (0, 1)
 
 
+def test_torus_axis_polynomial():
+    # single axis: the second variable only, read as a polynomial in it
+    w = torus_polynomial(2, {(0, 0): 1.0, (0, 2): 3j})
+    assert w.rep.axis_polynomial() == polynomial([1.0, 0.0, 3j])
+    # constant: no variable occurs, axis 0 is taken
+    assert torus_polynomial(3, {(0, 0, 0): 2.0}).rep.axis_polynomial() == polynomial([2.0])
+    # mixed: several variables occur, no one variable collapse
+    assert torus_polynomial(2, {(0, 0): 4.0, (1, 1): 1.0}).rep.axis_polynomial() is None
+    assert torus_polynomial(2, {(1, 0): 1.0, (0, 1): 1.0}).rep.axis_polynomial() is None
+
+
 # ----------------------------------------------------------------------
 # rotations
 # ----------------------------------------------------------------------
@@ -335,6 +346,15 @@ def test_parse_weight_complex_pairs():
         parse_weight({"type": "poly", "coeffs": ["one"]})
     with pytest.raises(WeightError):
         parse_weight({"type": "spline", "coeffs": [1]})
+
+
+def test_parsers_take_mappings_only():
+    with pytest.raises(WeightError, match="weight must be a JSON object"):
+        parse_weight('{"type": "poly", "coeffs": [1]}')
+    with pytest.raises(WeightError, match="rotation must be a JSON object"):
+        parse_rotation('{"kind": "named", "name": "golden"}')
+    with pytest.raises(WeightError, match="space must be a JSON object"):
+        parse_space('{"variant": "bloch"}')
 
 
 def test_parse_rotation_errors():
