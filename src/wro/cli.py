@@ -60,6 +60,7 @@ from .oracle import (
     pseudospectrum_scan,
     residual_window,
     singular_sequence_residual,
+    smoothing_floor,
     truncation_rank,
 )
 from .weights import (
@@ -587,13 +588,15 @@ def _check_smoothing(job):
     except OracleError as exc:
         return _skipped("smoothing-identity", str(exc))
     dev = check_smoothing_identity(t, job.params["eps"], job.params["smoothing_n"])
+    floor = smoothing_floor(t, job.params["smoothing_n"])
     data = {
         "order": order,
         "eps": job.params["eps"],
         "n": job.params["smoothing_n"],
         "deviation": dev,
+        "tolerance": floor,
     }
-    return _verdict("smoothing-identity", dev < 1e-8, data)
+    return _verdict("smoothing-identity", dev < floor, data)
 
 
 def _check_rank(job):

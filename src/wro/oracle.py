@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,6 +160,21 @@ BANDED_MIN_ORDER = 128
 #: this; the l^1 solve against the identity competes with a blocked dense
 #: solve and breaks even at a narrower band than the Lanczos
 BANDED_MAX_WIDTH_DIVISOR = {"euclidean": 4, "sum": 16}
+#: relative error the shifted route may add to a gap.  It works on the
+#: Gram matrix G = A A^H, whose computed form and Cholesky factors carry
+#: an absolute error of about eps ||A||_2^2; sigma^2 = lambda_min(G) then
+#: has the relative error eps (||A||_2 / sigma)^2.  With bandwidth d,
+#: ||A||_2 <= (d + 1) max|A_ij|, so a gap with
+#: sigma / max|A_ij| >= tau = (d + 1) sqrt(eps / GRAM_REL_ERR) stays within
+#: GRAM_REL_ERR (tau = 4.5e-3 for d = 2); closer to the spectrum the
+#: unshifted Lanczos, which never squares, measures the gap
+GRAM_REL_ERR = 1e-10
+#: the shift is this fraction of the previous point's gap squared; the gap
+#: moves by at most |lambda - lambda'| between neighbouring points, and a
+#: shift above lambda_min(G) makes the Cholesky factorization fail
+GRAM_SHIFT = 0.98
+#: complex entries of one l^1 batch's row buffer, (d + 1) N per point
+ELL1_BATCH_ENTRIES = 1 << 20
 
 
 def _gap_dense(T: TruncationMatrix, lam: complex) -> float:
@@ -214,13 +229,28 @@ class _BandedShift:
         self.off_max = float(np.max(np.abs(off))) if off.size else 0.0
         self.diag = np.diagonal(m).copy()
         self.T = T
+        self.tau = (d + 1) * math.sqrt(np.finfo(float).eps / GRAM_REL_ERR)
         # a fixed start vector keeps the scan deterministic
         rng = np.random.default_rng(0)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         self.start = start / np.linalg.norm(start)
 
-    def gap(self, lam: complex) -> float:
-        """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in the model norm.
+    def circle(self, points: np.ndarray) -> np.ndarray:
+        """g(lambda) at the points of one circle, walked in angle order:
+        each point of a Euclidean scan may shift by its predecessor's gap,
+        so a circle is one unit of work."""
+        if self.banded and self.T.norm_tag == "sum":
+            return self._ell1_circle(points)
+        gaps = np.empty(points.size)
+        prev = 0.0
+        for i, lam in enumerate(points):
+            gaps[i] = prev = self.gap(complex(lam), prev)
+        return gaps
+
+    def gap(self, lam: complex, prev: float = 0.0) -> float:
+        """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in a Euclidean model
+        norm, or in the l^1 norm on the dense route; ``prev`` is the gap
+        at the previous point of the circle (0 when there is none).
 
         Inside the spectrum the gap is roundoff; there the floor
         N eps max|A_ij| of A = lambda I - M is reported instead: when a
@@ -235,38 +265,92 @@ class _BandedShift:
         floor = self.T.order * np.finfo(float).eps * amax
         if float(size.min()) <= floor:
             return floor
-        g = self._gap_banded(diag, amax, floor) if self.banded else None
+        g = self._gap_banded(diag, amax, floor, prev) if self.banded else None
         if g is None:
             g = _gap_dense(self.T, lam)
         # "not >" also maps a NaN of an overflowed dense solve to the floor
         return g if g > floor else floor
 
-    def _gap_banded(self, diag: np.ndarray, amax: float, floor: float) -> Optional[float]:
-        """The banded route; None when the inverse Lanczos does not converge."""
+    def _gap_banded(self, diag: np.ndarray, amax: float, floor: float, prev: float) -> Optional[float]:
+        """The banded Euclidean route; None when the inverse Lanczos does
+        not converge.  Off the spectrum (the previous gap at least tau
+        max|A_ij|) the shifted route is tried first."""
         # scale by a power of two (exact) so that max|A_ij| lies in
         # [1/2, 1): an overflow then certifies a gap far below the floor
         scale = 2.0 ** -math.frexp(amax)[1]
         ab = self.bands * scale
         ab[0] = diag * scale
+        cut = self.tau * amax * scale
+        g = None
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.T.norm_tag == "euclidean":
+            if prev * scale >= cut:
+                g = _shifted_lanczos(ab, self.start, GRAM_SHIFT * (prev * scale) ** 2)
+                if g is not None and not g >= cut:
+                    g = None
+            if g is None:
                 g = _inverse_lanczos(ab, self.start, floor * scale)
-            else:
-                g = _ell1_gap(ab)
         return None if g is None else g / scale
 
+    def _ell1_circle(self, points: np.ndarray) -> np.ndarray:
+        """The banded l^1 route for a whole circle, with the floor rules
+        of ``gap`` applied point by point."""
+        diag = points[:, None] - self.diag[None, :]
+        size = np.abs(diag)
+        amax = np.maximum(self.off_max, size.max(axis=1))
+        floor = self.T.order * np.finfo(float).eps * amax
+        gaps = floor.copy()
+        todo = np.flatnonzero(size.min(axis=1) > floor)
+        scale = 2.0 ** -np.frexp(amax[todo])[1]
+        step = max(1, ELL1_BATCH_ENTRIES // self.bands.size)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for lo in range(0, todo.size, step):
+                part = slice(lo, lo + step)
+                g = _ell1_gaps(self.bands, diag[todo[part]] * scale[part, None], scale[part])
+                g /= scale[part]
+                # "not >" maps an overflow (gap 0) to the floor
+                gaps[todo[part]] = np.where(g > floor[todo[part]], g, floor[todo[part]])
+        return gaps
 
-def _ell1_gap(ab: np.ndarray) -> float:
-    """1 / ||A^{-1}||_1 for lower banded triangular A: the largest column
-    sum of one banded solve against the identity; 0.0 on overflow."""
-    from scipy.linalg import lapack
 
-    n = ab.shape[1]
-    inv, info = lapack.ztbtrs(ab, np.eye(n, dtype=complex), uplo="L", overwrite_b=1)
-    colsum = float(np.max(np.sum(np.abs(inv), axis=0)))
-    if info != 0 or not math.isfinite(colsum):
-        return 0.0
-    return 1.0 / colsum
+def _ell1_gaps(bands: np.ndarray, diag: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """1 / ||(s A)^{-1}||_1 for a batch of lower banded triangular
+    matrices s A that share the off-diagonal bands ``bands[1:]`` up to a
+    power of two s per matrix; 0.0 where the solve overflows.
+
+    ``diag`` holds the scaled diagonals s A[i, i], one row per matrix.
+    Row i of X = (s A)^{-1} is
+
+        X_i = (e_i - s sum_{k=1}^{d} A[i, i - k] X_{i-k}) / (s A[i, i])
+
+    on the columns up to i.  Only the last d + 1 rows are kept, with the
+    running column sums of |X|.  Every operation is elementwise, so a
+    matrix's gap does not depend on the batch it is in.
+    """
+    slots, n = bands.shape
+    p = diag.shape[0]
+    ring = np.zeros((slots, n, p), dtype=complex)
+    term = np.empty(n * p, dtype=complex)
+    colsum = np.zeros((n, p))
+    inv = 1.0 / diag.T
+    neg = -scale
+    for i in range(n):
+        # the slot of row i - d - 1, overwritten on columns 0 .. i
+        row = ring[i % slots, : i + 1]
+        last = min(i, slots - 1)
+        if last:
+            np.multiply(ring[(i - 1) % slots, : i + 1], bands[1, i - 1], out=row)
+        else:
+            row[...] = 0.0
+        t = term[: (i + 1) * p].reshape(i + 1, p)
+        for k in range(2, last + 1):
+            np.multiply(ring[(i - k) % slots, : i + 1], bands[k, i - k], out=t)
+            row += t
+        row *= neg
+        row[i] += 1.0
+        row *= inv[i]
+        colsum[: i + 1] += np.abs(row)
+    top = colsum.max(axis=0)
+    return np.where(np.isfinite(top), 1.0 / top, 0.0)
 
 
 def _top_ritz(alphas: list, betas: list) -> Tuple[float, float]:
@@ -292,38 +376,33 @@ def _top_ritz(alphas: list, betas: list) -> Tuple[float, float]:
     return float(vals[0]), (abs(float(vec[-1, 0])) if info == 0 else math.inf)
 
 
-def _inverse_lanczos(ab: np.ndarray, start: np.ndarray, floor: float) -> Optional[float]:
-    """sigma_min of lower banded triangular A by Lanczos on (A A^H)^{-1}.
+def _lanczos_top(solve: Callable, start: np.ndarray, big: float) -> Optional[float]:
+    """Largest eigenvalue theta of a Hermitian positive definite B given
+    by ``solve(q) = B q`` (None when the solve fails), by Lanczos.
 
-    Each step is two banded triangular solves and a full
-    reorthogonalization against the basis, which grows on demand.  The
-    top Ritz pair is examined every RITZ_EVERY steps.  Returns 0.0 as
-    soon as sigma_min <= floor is certified (a solve overflowed, or
-    ||B q|| or a Ritz value of B = (A A^H)^{-1} reached 1/floor^2), and
-    None when the top Ritz pair has not converged after
+    Each step is one ``solve`` and a full reorthogonalization against
+    the basis, which grows on demand.  The top Ritz pair is examined
+    every RITZ_EVERY steps.  Returns inf as soon as a solve fails or
+    ||B q|| or a Ritz value reaches ``big`` (both bound theta from
+    below), and None when the top Ritz pair has not converged after
     LANCZOS_MAX_STEPS steps.
     """
-    from scipy.linalg import lapack
-
-    n = ab.shape[1]
+    n = start.size
     basis = np.empty((min(32, LANCZOS_MAX_STEPS), n), dtype=complex)
     alphas = []
     betas = []
     q = start
-    big = 1.0 / (floor * floor)
     for k in range(LANCZOS_MAX_STEPS):
         if k == basis.shape[0]:
             grown = np.empty((min(2 * k, LANCZOS_MAX_STEPS), n), dtype=complex)
             grown[:k] = basis
             basis = grown
         basis[k] = q
-        y, info = lapack.ztbtrs(ab, q[:, None], uplo="L")
-        z, info2 = lapack.ztbtrs(ab, y, uplo="L", trans="C")
-        w = z[:, 0]
-        # ||B q|| <= ||B|| = sigma_min^-2, so a large (or overflowed) w
-        # already certifies the floor
-        if info or info2 or not (math.sqrt(float(np.vdot(w, w).real)) < big):
-            return 0.0
+        w = solve(q)
+        # ||B q|| <= ||B|| = theta, so a large (or overflowed) w already
+        # reaches big
+        if w is None or not (math.sqrt(float(np.vdot(w, w).real)) < big):
+            return math.inf
         alpha = float(np.vdot(q, w).real)
         alphas.append(alpha)
         # the three-term step first: the Gram-Schmidt pass below would
@@ -347,14 +426,66 @@ def _inverse_lanczos(ab: np.ndarray, start: np.ndarray, floor: float) -> Optiona
         if beta == 0.0 or k % RITZ_EVERY == RITZ_EVERY - 1:
             theta, last = _top_ritz(alphas, betas)
             if not (theta < big):
-                return 0.0
+                return math.inf
             if theta > 0.0 and beta * last <= LANCZOS_TOL * theta:
-                return 1.0 / math.sqrt(theta)
+                return theta
             if beta == 0.0:   # exhausted Krylov space without a usable pair
                 return None
         betas.append(beta)
         q = w / beta
     return None
+
+
+def _inverse_lanczos(ab: np.ndarray, start: np.ndarray, floor: float) -> Optional[float]:
+    """sigma_min of lower banded triangular A by Lanczos on (A A^H)^{-1},
+    two banded triangular solves per step.  Returns 0.0 as soon as
+    sigma_min <= floor is certified (a solve overflowed, or ||B q|| or a
+    Ritz value of B = (A A^H)^{-1} reached 1/floor^2), and None when the
+    Lanczos does not converge.
+    """
+    from scipy.linalg import lapack
+
+    def solve(q):
+        y, info = lapack.ztbtrs(ab, q[:, None], uplo="L")
+        z, info2 = lapack.ztbtrs(ab, y, uplo="L", trans="C")
+        return None if info or info2 else z[:, 0]
+
+    theta = _lanczos_top(solve, start, 1.0 / (floor * floor))
+    if theta is None:
+        return None
+    return 0.0 if theta == math.inf else 1.0 / math.sqrt(theta)
+
+
+def _shifted_lanczos(ab: np.ndarray, start: np.ndarray, mu: float) -> Optional[float]:
+    """sigma_min of lower banded triangular A by Lanczos on (G - mu I)^{-1},
+    G = A A^H, one banded Cholesky solve per step: sigma^2 = mu + 1/theta.
+
+    G is Hermitian with the bandwidth of A and is formed in lower band
+    storage.  Returns None when the Cholesky factorization fails
+    (mu >= lambda_min(G)), a solve overflows, or the Lanczos does not
+    converge.
+    """
+    from scipy.linalg import lapack
+
+    d1, n = ab.shape
+    # G[j + s, j] = sum_u A[j + s, j - u] conj(A[j, j - u]), u = 0 .. d - s
+    gram = np.zeros_like(ab)
+    for s in range(d1):
+        for u in range(d1 - s):
+            gram[s, u:] += ab[s + u, : n - u] * ab[u, : n - u].conj()
+    gram[0] -= mu
+    chol, info = lapack.zpbtrf(gram, lower=1, overwrite_ab=1)
+    if info:
+        return None
+
+    def solve(q):
+        x, info = lapack.zpbtrs(chol, q[:, None], lower=1)
+        return None if info else x[:, 0]
+
+    theta = _lanczos_top(solve, start, math.inf)
+    if theta is None or theta == math.inf:
+        return None
+    return math.sqrt(mu + 1.0 / theta)
 
 
 @dataclass(frozen=True)
@@ -380,9 +511,10 @@ def pseudospectrum_scan(
 ) -> PseudospectrumGrid:
     """Measure the resolvent gap on radial grids.
 
-    The points are laid out radius major, angle minor; the scan runs on
-    the shared thread pool but the reduction preserves grid order, so
-    the output is deterministic for fixed inputs.
+    The points are laid out radius major, angle minor.  Each circle is
+    one task of the shared thread pool, walked in angle order, and the
+    reduction preserves grid order, so the output is deterministic for
+    fixed inputs whatever the thread count.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not (r > 0.0) for r in radii):
@@ -390,12 +522,11 @@ def pseudospectrum_scan(
     if n_angles < 1:
         raise OracleError("n_angles must be positive")
     angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    points = np.concatenate([r * angles for r in radii])
-    band = _BandedShift(T)
-    gaps = ordered_parallel_map(lambda lam: band.gap(complex(lam)), list(points))
+    circles = [r * angles for r in radii]
+    gaps = ordered_parallel_map(_BandedShift(T).circle, circles)
     return PseudospectrumGrid(
-        points=points,
-        gaps=np.asarray(gaps, dtype=float),
+        points=np.concatenate(circles),
+        gaps=np.concatenate(gaps),
         radii=radii,
         n_angles=int(n_angles),
         order=T.order,
@@ -439,6 +570,24 @@ def truncation_rank(T: TruncationMatrix) -> RankResult:
 # ----------------------------------------------------------------------
 
 
+def _smoothing_terms(eps: float, n: int) -> list:
+    """The telescoped right side of the smoothing identity as
+    (coefficient, power of T) pairs, in summation order."""
+    terms = [((1.0 - eps) ** n, 0)]
+    for j in range(1, n + 1):
+        terms.append((eps * (1.0 - eps) ** (n - j), j))
+        terms.append((-eps * (1.0 - eps) ** (j - 1), j + n))
+    terms.append((-(1.0 - eps) ** n, 2 * n + 1))
+    return terms
+
+
+def _square(T) -> np.ndarray:
+    m = np.asarray(getattr(T, "entries", T), dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise OracleError("a square matrix is required")
+    return m
+
+
 def check_smoothing_identity(T, eps: float, n: int) -> float:
     """Deviation of the telescoping identity of the smoothing sum.
 
@@ -451,12 +600,9 @@ def check_smoothing_identity(T, eps: float, n: int) -> float:
         - (1-eps)^n T^{2n+1},
 
     and the return value is the operator 2-norm of LHS - RHS, which is
-    zero up to rounding for every square matrix.
+    zero up to rounding (``smoothing_floor``) for every square matrix.
     """
-    entries = getattr(T, "entries", T)
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise OracleError("a square matrix is required")
+    m = _square(T)
     if not (0.0 < eps < 1.0):
         raise OracleError("eps must lie in (0, 1)")
     if n < 1:
@@ -467,12 +613,27 @@ def check_smoothing_identity(T, eps: float, n: int) -> float:
         powers.append(powers[-1] @ m)
     smooth = sum((1.0 - eps) ** abs(j - n) * powers[j] for j in range(2 * n + 1))
     lhs = (np.eye(size, dtype=complex) - m) @ smooth
-    rhs = (1.0 - eps) ** n * powers[0]
-    for j in range(1, n + 1):
-        rhs = rhs + eps * (1.0 - eps) ** (n - j) * powers[j]
-        rhs = rhs - eps * (1.0 - eps) ** (j - 1) * powers[j + n]
-    rhs = rhs - (1.0 - eps) ** n * powers[2 * n + 1]
+    rhs = sum(c * powers[j] for c, j in _smoothing_terms(eps, n))
     return float(np.linalg.norm(lhs - rhs, 2))
+
+
+def smoothing_floor(T, n: int) -> float:
+    """Rounding floor N eps (1 + ||T||_2)^{2n+1} of ``check_smoothing_identity``.
+
+    Both sides are sums of at most 2n + 2 terms c_j T^j with |c_j| <= 1
+    and j <= 2n + 1, each built by matrix products of order N.  A product
+    rounds with a relative error of about N eps in norm, and every such
+    sum is bounded by sum_j ||T||^j <= (1 + ||T||)^{2n+1} (the binomial
+    coefficients are at least 1), so the computed deviation of an exact
+    identity stays near N eps (1 + ||T||)^{2n+1}.  The estimate drops the
+    factor 2n + 2 for the number of products, because the N eps bound is
+    itself pessimistic by about sqrt(N): on the benchmark's verify and
+    large norm truncations the deviation stays below 4e-4 of this floor.
+    An absolute tolerance sits below it once ||T|| > 3.
+    """
+    m = _square(T)
+    size = m.shape[0]
+    return size * np.finfo(float).eps * (1.0 + float(np.linalg.norm(m, 2))) ** (2 * n + 1)
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,26 @@ def test_residual_window_at_the_cap_is_admitted(tmp_path):
                               params={"peak_power": cap - 267}, name="over.json"))
 
 
+def test_ell1_scan_loads_no_scipy(tmp_path):
+    # the banded l^1 route is plain numpy: a whole ell1a scan runs
+    # without importing scipy
+    job = _write_job(tmp_path, "ell1a.json", {
+        "space": {"variant": "ell1a"},
+        "weight": {"type": "poly", "coeffs": [2, 0.5, 0.25]},
+        "rotation": {"kind": "named", "name": "golden"},
+        "params": {"truncation": 128, "angles": 4},
+    })
+    grid = tmp_path / "grid.csv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, wro.cli; rc = wro.cli.main(['scan', '--job', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, job, str(grid)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0 []"
+    assert len(grid.read_text().splitlines()) == 1 + 5 * 4
+
+
 def test_import_cli_loads_no_scipy():
     # scipy is imported only inside the gap routes and the periodic
     # radius search, so classify, plot and most radius calls never load it
@@ -424,6 +444,42 @@ def test_verify_bergman_ledger(tmp_path):
     assert status["pseudospectrum-trend"] == "passed"
     assert status["residual-decay"] == "passed"
     assert status["norm-ladder"] == "passed"
+
+
+# the Bergman truncation of w = 20 - 30z + 15z^2 has norm 64: its identity
+# deviation rounds to about 7e-7, far above an absolute 1e-8
+LARGE_NORM_COEFFS = (20, -30, 15)
+
+
+def test_smoothing_identity_passes_at_large_norm(tmp_path):
+    result = cli._check_smoothing(load_job(_bergman_job(tmp_path, coeffs=LARGE_NORM_COEFFS)))
+    assert result["status"] == "passed"
+    assert 1e-8 < result["data"]["deviation"] < 1e-4 * result["data"]["tolerance"]
+
+
+@pytest.mark.parametrize("coeffs", [(1, -2.5, 1), LARGE_NORM_COEFFS])
+def test_smoothing_identity_fails_when_a_term_is_perturbed(tmp_path, coeffs, monkeypatch):
+    # a relative change of 1e-3 in one term of the telescoped side breaks
+    # the identity; at norm 64 only the terms of the powers above n stand
+    # out of the rounding of the largest ones
+    from wro import oracle
+
+    job = load_job(_bergman_job(tmp_path, coeffs=coeffs))
+    n = job.params["smoothing_n"]
+    exact = oracle._smoothing_terms
+    terms = exact(job.params["eps"], n)
+    assert cli._check_smoothing(job)["status"] == "passed"
+    for k, (_, power) in enumerate(terms):
+        if coeffs == LARGE_NORM_COEFFS and power <= n:
+            continue
+
+        def perturbed(eps, n, k=k):
+            out = exact(eps, n)
+            out[k] = (out[k][0] * (1.0 + 1e-3), out[k][1])
+            return out
+
+        monkeypatch.setattr(oracle, "_smoothing_terms", perturbed)
+        assert cli._check_smoothing(job)["status"] == "failed", k
 
 
 def test_verify_bloch_norm_ladder_fails(tmp_path):

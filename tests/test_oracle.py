@@ -149,6 +149,17 @@ def test_scan_layout_and_determinism(monkeypatch):
     assert abs(one.points[8]) == pytest.approx(2.0)
     rows = one.rows()
     assert len(rows) == 16 and len(rows[0]) == 3
+    # a banded Euclidean scan, where points after the first of a circle
+    # take the shifted route from their predecessor's gap
+    banded = build_truncation(BERGMAN, w, GOLDEN, 128)
+    assert oracle._BandedShift(banded).banded
+    shifted = _count_calls(monkeypatch, "_shifted_lanczos")
+    monkeypatch.setenv("WRO_THREADS", "1")
+    one_b = pseudospectrum_scan(banded, [1.0, 2.5, 3.0], n_angles=8)
+    monkeypatch.setenv("WRO_THREADS", "8")
+    eight_b = pseudospectrum_scan(banded, [1.0, 2.5, 3.0], n_angles=8)
+    assert shifted["accepted"] > 0
+    assert np.array_equal(one_b.gaps, eight_b.gaps)
 
 
 def test_gap_smaller_on_spectrum_than_off():
@@ -245,6 +256,93 @@ def test_scan_route_follows_order_and_bandwidth():
     assert banded(BERGMAN, degree(32), 128) and not banded(BERGMAN, degree(33), 128)
     assert banded(ell1a, degree(8), 128) and not banded(ell1a, degree(9), 128)
     assert not banded(BERGMAN, AGREEMENT_WEIGHTS[-1], AGREEMENT_ORDER)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of oracle.<name> that returned a gap ("accepted")
+    and None ("declined")."""
+    counts = {"accepted": 0, "declined": 0}
+    inner = getattr(oracle, name)
+
+    def counted(*args):
+        out = inner(*args)
+        counts["declined" if out is None else "accepted"] += 1
+        return out
+
+    monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+SHIFT_WEIGHTS = [polynomial([2, 0.5]), polynomial([1, -2.5, 1])]
+
+
+@pytest.mark.parametrize("order", [128, 256])
+@pytest.mark.parametrize("sp", MODEL_SPACES[:3], ids=lambda sp: sp.variant)
+def test_shifted_gap_agrees_with_dense(sp, order, monkeypatch):
+    # circles just inside and outside the predicted radii, where the gap
+    # crosses tau max|A_ij|, and one well off the spectrum
+    shifted = _count_calls(monkeypatch, "_shifted_lanczos")
+    sides = set()
+    for w in SHIFT_WEIGHTS:
+        T = build_truncation(sp, w, GOLDEN, order)
+        tau = oracle._BandedShift(T).tau
+        base = {abs(weight_at_origin(w)), geometric_mean(w, 1.0)}
+        radii = sorted({f * r for r in base for f in (0.98, 0.995, 1.005, 1.02, 1.5)})
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_gap_dense", _no_dense_route)
+            scan = pseudospectrum_scan(T, radii, n_angles=4)
+        for lam, gap in zip(scan.points, scan.gaps):
+            dense = _gap_dense(T, complex(lam))
+            assert abs(gap - dense) <= _dense_tolerance(T, lam, dense), (sp.variant, w, lam)
+            ratio = dense / np.max(np.abs(lam * np.eye(order) - T.entries))
+            if ratio > 1e-10:
+                sides.add(ratio >= tau)
+    assert sides == {True, False}
+    assert shifted["accepted"] > 0
+
+
+def test_failed_cholesky_returns_the_unshifted_gap(monkeypatch):
+    # a shift of 4 g^2 lies above lambda_min(A A^H) at every point, so
+    # every banded Cholesky factorization fails and the unshifted route
+    # measures the gap, bit for bit as with the shifted route switched off
+    from scipy.linalg import lapack
+
+    T = build_truncation(BERGMAN, polynomial([1, -2.5, 1]), GOLDEN, 128)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_shifted_lanczos", lambda *args: None)
+        want = pseudospectrum_scan(T, [2.2, 3.0], n_angles=5).gaps
+    infos = []
+    factor = lapack.zpbtrf
+
+    def recorded(*args, **kwargs):
+        out = factor(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(lapack, "zpbtrf", recorded)
+    monkeypatch.setattr(oracle, "GRAM_SHIFT", 4.0)
+    got = pseudospectrum_scan(T, [2.2, 3.0], n_angles=5).gaps
+    assert len(infos) == 8 and all(info > 0 for info in infos)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_batched_ell1_gap_agrees_with_dense(degree, monkeypatch):
+    # bandwidths 1-8 take the banded l^1 route at order 128
+    w = polynomial(np.poly(0.8 + 0.9 * np.exp(2j * np.pi * np.arange(degree) / degree))[::-1])
+    T = build_truncation(space("ell1a"), w, GOLDEN, AGREEMENT_ORDER)
+    assert oracle._BandedShift(T).banded
+    base = {abs(weight_at_origin(w)), geometric_mean(w, 1.0)}
+    radii = sorted({f * r for r in base for f in (0.5, 0.9, 1.1, 1.5)})
+    monkeypatch.setattr(oracle, "_gap_dense", _no_dense_route)
+    scan = pseudospectrum_scan(T, radii, n_angles=5)
+    # one point per batch gives the same gaps, bit for bit
+    monkeypatch.setattr(oracle, "ELL1_BATCH_ENTRIES", 1)
+    assert np.array_equal(pseudospectrum_scan(T, radii, n_angles=5).gaps, scan.gaps)
+    monkeypatch.undo()
+    for lam, gap in zip(scan.points, scan.gaps):
+        dense = _gap_dense(T, complex(lam))
+        assert abs(gap - dense) <= _dense_tolerance(T, lam, dense), (degree, lam)
 
 
 def test_unconverged_lanczos_falls_back_to_dense(monkeypatch):
