@@ -247,7 +247,7 @@ class _BandedShift:
             gaps[i] = prev = self.gap(complex(lam), prev)
         return gaps
 
-    def gap(self, lam: complex, prev: float = 0.0) -> float:
+    def gap(self, lam: complex, prev: float) -> float:
         """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in a Euclidean model
         norm, or in the l^1 norm on the dense route; ``prev`` is the gap
         at the previous point of the circle (0 when there is none).

@@ -259,14 +259,13 @@ def test_scan_route_follows_order_and_bandwidth():
 
 
 def _count_calls(monkeypatch, name):
-    """Count the calls of oracle.<name> that returned a gap ("accepted")
-    and None ("declined")."""
-    counts = {"accepted": 0, "declined": 0}
+    """Count the calls of oracle.<name> that returned a gap ("accepted")."""
+    counts = {"accepted": 0}
     inner = getattr(oracle, name)
 
     def counted(*args):
         out = inner(*args)
-        counts["declined" if out is None else "accepted"] += 1
+        counts["accepted"] += out is not None
         return out
 
     monkeypatch.setattr(oracle, name, counted)
