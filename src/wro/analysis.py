@@ -46,6 +46,11 @@ class AnalysisError(ValueError):
     """Raised when a question has no certified answer for the given data."""
 
 
+class AmbiguousZeroError(AnalysisError):
+    """Raised when a zero lies too near the unit circle to say on which
+    side of it (or on it) the zero sits."""
+
+
 class ConvergenceError(RuntimeError):
     """Raised when a numerical routine fails to reach its tolerance."""
 
@@ -161,7 +166,7 @@ def _split_circle(pairs):
         if d < TOL_ZERO:
             boundary.append((z, m))
         elif d < CLUSTER_TOL:
-            raise AnalysisError(
+            raise AmbiguousZeroError(
                 "ambiguous boundary zero at %r (within %g of the circle "
                 "but not certifiably on it)" % (z, CLUSTER_TOL)
             )

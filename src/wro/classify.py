@@ -48,6 +48,7 @@ import numpy as np
 
 from . import ergodic
 from .analysis import (
+    AmbiguousZeroError,
     FactorizationSummary,
     _polished_roots,
     _rep_fractions,
@@ -482,9 +483,13 @@ def _finish(
 # ----------------------------------------------------------------------
 
 
-def _closed_form_branch(w: Weight) -> Tuple[int, FactorizationSummary]:
-    """(1, 2, or 3, factorization) for a polynomial or rational weight."""
-    fact = factorization_summary(w)
+def _closed_form_branch(w: Weight) -> Tuple[int, Optional[FactorizationSummary]]:
+    """(1, 2, or 3, factorization) for a polynomial or rational weight;
+    (0, None) when a zero sits too near the circle to pick a branch."""
+    try:
+        fact = factorization_summary(w)
+    except AmbiguousZeroError:
+        return 0, None
     if fact.zeros_boundary:
         return 3, fact
     if fact.zero_count_inside:
@@ -510,6 +515,9 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
     rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
         branch, fact = _closed_form_branch(w)
+        if branch == 0:
+            g = geometric_mean(w, 1.0)
+            return _finish(_sandwich("%s(unresolved)" % rule, g), extra_rules=extra_rules)
         if branch == 1:
             r0 = abs(weight_at_origin(w))
             return _finish(_all_exact("%s(1)" % rule, circle(r0)), extra_rules=extra_rules)
@@ -564,6 +572,8 @@ def _classify_ell1a(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
         branch, fact = _closed_form_branch(w)
+        if branch == 0:
+            return _finish(_sandwich("%s(unresolved)" % rule, geometric_mean(w, 1.0)))
         if branch == 1:
             r0 = abs(weight_at_origin(w))
             return _finish(_all_exact("%s(1)" % rule, circle(r0)))
@@ -648,6 +658,8 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         raise ClassifyError("polydisc classification needs a polynomial weight")
 
     branch, fact = _closed_form_branch(wa)
+    if branch == 0:
+        return _finish(_sandwich("%s(unresolved)" % rule, geometric_mean(wa, 1.0)))
     if branch == 1:
         r0 = abs(weight_at_origin(wa))
         return _finish(_all_exact("%s(1)" % rule, circle(r0)))

@@ -395,6 +395,9 @@ def _random_poly(draw):
 # a double zero near 0 whose derivative there is 4e-295: an unguarded
 # Newton polish threw it to -6.8e230i and the Jensen product overflowed
 @example([2.72e-64j, 4.03e-295 + 0j, 1j, 1 + 0j])
+# zeros of 2 + z + 2z^2 lie on the circle; the small imaginary part moves
+# them into the band where no side of the circle can be certified
+@example([2 + 3.63751095500646e-07j, 1 + 0j, 2 + 0j])
 def test_report_chain_inclusions_random_weights(coeffs):
     """sigma_1 in sigma_2 in sigma_3 in sigma_4 in sigma_5 in sigma, and
     sigma_ap and sigma_r inside sigma, on every closed form report."""
@@ -410,6 +413,22 @@ def test_report_chain_inclusions_random_weights(coeffs):
         for key in ("sigma_ap", "sigma_r", "sigma_5"):
             if sets[key].status.kind == "exact":
                 assert sets["sigma"].set.contains(sets[key].set)
+
+
+def test_ambiguous_boundary_zero_gives_sandwich():
+    # a zero 1e-8 outside the circle: neither branch (1) nor (2)/(3) can
+    # be certified, so every set gets the two sided boundary mean estimate
+    w = _tagged([-(1.0 + 1e-8), 1.0], "disc_algebra")
+    rep = classify(space("bergman", p=2), w, GOLDEN)
+    assert report_consistency(rep) == []
+    sigma = rep.sets["sigma"]
+    assert sigma.citation == "bergman-trichotomy(unresolved)"
+    assert sigma.status.kind == "bounds"
+    assert sigma.status.lower == circle(1.0 + 1e-8)
+    assert sigma.set == closed_disc(1.0 + 1e-8)
+    rep = classify(space("ell1a"), w, GOLDEN)
+    assert rep.sets["sigma"].citation == "wiener-series-circle(unresolved)"
+    assert rep.sets["sigma"].status.kind == "bounds"
 
 
 def test_inputs_echo_round_trip():
