@@ -95,10 +95,10 @@ def _polished_roots(coeffs) -> np.ndarray:
     return roots
 
 
-def _cluster(roots: np.ndarray, tol: float = CLUSTER_TOL):
+def _cluster(roots: np.ndarray):
     """Group nearby roots into (location, multiplicity) pairs.
 
-    Zeros of the input separated by less than ``tol`` merge into one
+    Zeros of the input separated by less than CLUSTER_TOL merge into one
     cluster whose location is the mean; this is how multiplicities are
     recovered from the slightly scattered eigenvalues of the companion
     matrix.
@@ -111,7 +111,7 @@ def _cluster(roots: np.ndarray, tol: float = CLUSTER_TOL):
     for i in order:
         if used[i]:
             continue
-        group = np.abs(roots - roots[i]) <= tol
+        group = np.abs(roots - roots[i]) <= CLUSTER_TOL
         group &= ~used
         used |= group
         out.append((complex(roots[group].mean()), int(group.sum())))
@@ -246,7 +246,7 @@ def _jensen_product(coeffs, r: float) -> float:
     return float(out)
 
 
-def _quadrature_log_mean(values_at, tol: float = QUAD_TOL) -> float:
+def _quadrature_log_mean(values_at) -> float:
     """Circle mean of ln|w| by trapezoid sums on doubling grids.
 
     ``values_at(G)`` returns the samples on the G point grid.  Periodic
@@ -262,14 +262,14 @@ def _quadrature_log_mean(values_at, tol: float = QUAD_TOL) -> float:
         mean = float(np.mean(np.log(vals)))
         if not math.isfinite(mean):
             raise ConvergenceError("log mean overflowed on the sample circle")
-        if prev is not None and abs(mean - prev) <= tol * max(1.0, abs(mean)):
+        if prev is not None and abs(mean - prev) <= QUAD_TOL * max(1.0, abs(mean)):
             return mean
         prev = mean
         grid *= 2
     raise ConvergenceError("quadrature did not converge (weight nearly vanishes on the circle?)")
 
 
-def geometric_mean(w: Weight, r: float = 1.0, method: str = "auto", tol: float = QUAD_TOL) -> float:
+def geometric_mean(w: Weight, r: float = 1.0, method: str = "auto") -> float:
     """exp((1/2pi) int ln|w(r e^it)| dt).
 
     ``method`` is "auto", "closed_form" (Jensen product, exact, closed
@@ -297,7 +297,7 @@ def geometric_mean(w: Weight, r: float = 1.0, method: str = "auto", tol: float =
         if not np.all(vals > 0.0):
             raise ConvergenceError("weight vanishes on the sample circle")
         return math.exp(float(np.mean(np.log(vals))))
-    return math.exp(_quadrature_log_mean(lambda g: boundary_values(w, g, r), tol))
+    return math.exp(_quadrature_log_mean(lambda g: boundary_values(w, g, r)))
 
 
 # ----------------------------------------------------------------------

@@ -225,14 +225,25 @@ def component_payload(comp: Component) -> dict:
     }
 
 
+def _payload_radius(doc: dict, key: str) -> float:
+    val = doc.get(key)
+    if not _positive_finite(val):
+        raise WeightError("component %s needs a positive finite %s, got %r"
+                          % (doc.get("kind"), key, val))
+    return float(val)
+
+
 def component_from_payload(doc: dict) -> Component:
+    if not isinstance(doc, dict):
+        raise WeightError("a component must be a JSON object, got %r" % (doc,))
     kind = doc.get("kind")
     if kind == "origin":
         return Component("origin")
     if kind in ("circle", "open_disc", "closed_disc"):
-        return Component(kind, r=float(doc["radius"]))
+        return Component(kind, r=_payload_radius(doc, "radius"))
     if kind in ("open_annulus", "closed_annulus"):
-        return Component(kind, r_in=float(doc["inner_radius"]), r_out=float(doc["outer_radius"]))
+        return Component(kind, r_in=_payload_radius(doc, "inner_radius"),
+                         r_out=_payload_radius(doc, "outer_radius"))
     raise WeightError("unknown component kind %r" % kind)
 
 
@@ -450,10 +461,15 @@ def _draw_component(lines, comp: Component, scale: float, color: str, dash_circl
 
 def _plot_report(doc: dict) -> str:
     sets = doc.get("sets", {})
+    if not isinstance(sets, dict):
+        raise WeightError("report sets must be a JSON object")
     comps = {}
     for key in ("sigma", "sigma_ap"):
         payload = sets.get(key, {})
-        comps[key] = [component_from_payload(c) for c in payload.get("components", [])]
+        clist = payload.get("components", []) if isinstance(payload, dict) else None
+        if not isinstance(clist, list):
+            raise WeightError("report set %s must be an object with a components list" % key)
+        comps[key] = [component_from_payload(c) for c in clist]
     rmax = 0.0
     for clist in comps.values():
         for comp in clist:
@@ -513,7 +529,11 @@ def cmd_plot(args) -> int:
                 continue
             if len(row) != 3:
                 raise WeightError("grid CSV rows need exactly re,im,gap")
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+            re, im, gap = (float(x) for x in row)
+            if not (math.isfinite(re) and math.isfinite(im) and math.isfinite(gap) and gap >= 0.0):
+                raise WeightError("grid CSV rows need finite re, im and a finite gap >= 0, got %s"
+                                  % ",".join(row))
+            rows.append((re, im, gap))
         if not rows:
             raise WeightError("grid CSV has no data rows")
         svg = _plot_grid(rows)

@@ -13,25 +13,18 @@ routes: the boundary geometric mean, the group rotation maximum formula
 for periodic rotations, and the factored product formula for polynomial
 weights.  The routes are deliberately kept separate so they can be
 cross checked against each other.
-
-Scans that iterate over many independent grid points or matrix sizes
-run through ``ordered_parallel_map``, a thread pool whose width is
-capped by the WRO_THREADS environment variable and whose reduction
-preserves input order, so results are deterministic for a fixed input
-no matter how many workers run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import (
+    QUAD_TOL,
     AnalysisError,
     ConvergenceError,
     _polished_roots,
@@ -47,42 +40,15 @@ from .weights import (
     TorusPolynomial,
     TOL_ZERO,
     Weight,
-    WeightError,
     _require_grid,
     evaluate,
 )
 
-# ----------------------------------------------------------------------
-# deterministic parallelism
-# ----------------------------------------------------------------------
 
-
-def thread_count() -> int:
-    """Worker cap for scans; WRO_THREADS overrides the default."""
-    raw = os.environ.get("WRO_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise WeightError("WRO_THREADS must be a positive integer, got %r" % raw)
-    if n < 1:
-        raise WeightError("WRO_THREADS must be a positive integer, got %r" % raw)
-    return n
-
-
+# kept by this name only because bench/spans.py traces it to count circles
 def ordered_parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map fn over items, possibly on a thread pool, preserving order.
-
-    The reduction is a plain ordered gather, so the output is identical
-    to ``[fn(x) for x in items]`` regardless of the worker count.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items in order, one after the other."""
+    return [fn(x) for x in items]
 
 
 # ----------------------------------------------------------------------
@@ -208,17 +174,16 @@ def ap_membership(
     lam_abs: float,
     n_max: int = 200,
     grid: int = 4096,
-    tol: Optional[float] = None,
 ) -> MembershipVerdict:
     """Scan the circle for a witness that |lambda| = lam_abs meets the
     approximate point spectrum.
 
-    A point whose margin clears -tol certifies membership.  When no
-    point clears it, the scan repeats on the doubled grid (which
-    contains the original, so an "in" verdict cannot flip); a persistent
-    failure certifies "out", while a flip to "in" on refinement is
-    reported as "inconclusive", since the coarse grid was evidently too
-    coarse to trust.
+    A point whose margin clears -tol, tol = n_max * 1e-3, certifies
+    membership.  When no point clears it, the scan repeats on the
+    doubled grid (which contains the original, so an "in" verdict cannot
+    flip); a persistent failure certifies "out", while a flip to "in" on
+    refinement is reported as "inconclusive", since the coarse grid was
+    evidently too coarse to trust.
     """
     angle = _scan_angle(rotation)
     _orbit_evaluable(w)
@@ -227,8 +192,7 @@ def ap_membership(
         raise AnalysisError("lam_abs must be a positive finite number")
     if n_max < 1:
         raise AnalysisError("n_max must be positive")
-    if tol is None:
-        tol = n_max * 1e-3
+    tol = n_max * 1e-3
     alpha = angle.alpha()
 
     pts, margins = _membership_margins(w, alpha, lam_abs, n_max, grid)
@@ -250,7 +214,7 @@ def ap_membership(
 # ----------------------------------------------------------------------
 
 
-def _periodic_radius(w: Weight, angle: RotationAngle, grid: int = 1 << 14) -> float:
+def _periodic_radius(w: Weight, angle: RotationAngle) -> float:
     """max_t (prod_{j<q} |w(alpha^j t)|)^{1/q} for alpha = exp(2 pi i p/q).
 
     The orbit average of ln|w| is continuous in t, so a dense grid
@@ -273,6 +237,7 @@ def _periodic_radius(w: Weight, angle: RotationAngle, grid: int = 1 << 14) -> fl
         return math.exp(float(acc.max()) / q)
 
     _orbit_evaluable(w)
+    grid = 1 << 14
     ts = np.exp(2j * np.pi * np.arange(grid) / grid)
     orbit = (alpha ** np.arange(q))[:, None] * ts[None, :]
     means = _log_abs(evaluate(w, orbit)).mean(axis=0)
@@ -296,7 +261,7 @@ def _periodic_radius(w: Weight, angle: RotationAngle, grid: int = 1 << 14) -> fl
     return math.exp(best)
 
 
-def _torus_log_mean(rep: TorusPolynomial, tol: float = 1e-10) -> float:
+def _torus_log_mean(rep: TorusPolynomial) -> float:
     """Tensor trapezoid mean of ln|w| over the torus, doubling all axes."""
     n = rep.dim
     if n > 3:
@@ -319,7 +284,7 @@ def _torus_log_mean(rep: TorusPolynomial, tol: float = 1e-10) -> float:
         if not np.all(mags > 0.0):
             raise ConvergenceError("weight vanishes on the sample torus")
         mean = float(np.mean(np.log(mags)))
-        if prev is not None and abs(mean - prev) <= tol * max(1.0, abs(mean)):
+        if prev is not None and abs(mean - prev) <= QUAD_TOL * max(1.0, abs(mean)):
             return mean
         prev = mean
         grid *= 2

@@ -237,8 +237,8 @@ class _BandedShift:
 
     def circle(self, points: np.ndarray) -> np.ndarray:
         """g(lambda) at the points of one circle, walked in angle order:
-        each point of a Euclidean scan may shift by its predecessor's gap,
-        so a circle is one unit of work."""
+        each point of a Euclidean scan may shift by its predecessor's
+        gap."""
         if self.banded and self.T.norm_tag == "sum":
             return self._ell1_circle(points)
         gaps = np.empty(points.size)
@@ -511,10 +511,10 @@ def pseudospectrum_scan(
 ) -> PseudospectrumGrid:
     """Measure the resolvent gap on radial grids.
 
-    The points are laid out radius major, angle minor.  Each circle is
-    one task of the shared thread pool, walked in angle order, and the
-    reduction preserves grid order, so the output is deterministic for
-    fixed inputs whatever the thread count.
+    The points are laid out radius major, angle minor.  The circles are
+    measured one after the other, each walked in angle order from the
+    same fixed Lanczos start vector, so the output is deterministic for
+    fixed inputs.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not (r > 0.0) for r in radii):

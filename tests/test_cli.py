@@ -155,9 +155,11 @@ def test_ell1_scan_loads_no_scipy(tmp_path):
 
 def test_import_cli_loads_no_scipy():
     # scipy is imported only inside the gap routes and the periodic
-    # radius search, so classify, plot and most radius calls never load it
+    # radius search, so classify, plot and most radius calls never load it;
+    # the scan is a plain loop, so neither an executor nor logging loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import sys, wro.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, wro.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m in ('concurrent.futures', 'logging')])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
@@ -406,6 +408,30 @@ def test_plot_grid_svg(tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert "circle" in text
+
+
+@pytest.mark.parametrize("name, text", [
+    ("grid.csv", "re,im,gap\nnan,0,1\n"),
+    ("grid.csv", "re,im,gap\ninf,0,1\n"),
+    ("grid.csv", "re,im,gap\n1,0,nan\n"),
+    ("grid.csv", "re,im,gap\n1,0,-1\n"),
+    ("report.json", '{"sets": {"sigma": {"components": [{"kind": "circle", "radius": 1e400}]}}}'),
+    ("report.json", '{"sets": {"sigma": {"components": [{"kind": "circle", "radius": Infinity}]}}}'),
+    ("report.json", '{"sets": {"sigma_ap": {"components": [{"kind": "closed_annulus", '
+                    '"inner_radius": 1, "outer_radius": NaN}]}}}'),
+    ("report.json", '{"sets": []}'),
+    ("report.json", '{"sets": {"sigma": []}}'),
+    ("report.json", '{"sets": {"sigma": {"components": [3]}}}'),
+    ("report.json", '{"sets": {"sigma": {"components": [{"kind": "circle"}]}}}'),
+], ids=["re-nan", "re-inf", "gap-nan", "gap-negative", "radius-overflow", "radius-infinity",
+        "annulus-nan", "sets-list", "set-list", "component-number", "circle-no-radius"])
+def test_plot_exit_1_on_malformed_input(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    svg = tmp_path / "out.svg"
+    assert main(["plot", "--input", str(path), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not svg.exists()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Orbit products, the membership scan, and group rotation radii."""
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,32 +26,31 @@ from wro import (
     root_of_unity,
     torus_polynomial,
 )
-from wro.ergodic import ordered_parallel_map, thread_count
+from wro.ergodic import ordered_parallel_map
 
 
 # ----------------------------------------------------------------------
-# thread pool plumbing
+# the scan's circle map and the benchmark's trace targets
 # ----------------------------------------------------------------------
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("WRO_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("WRO_THREADS", "zero")
-    with pytest.raises(WeightError):
-        thread_count()
-    monkeypatch.setenv("WRO_THREADS", "0")
-    with pytest.raises(WeightError):
-        thread_count()
-    monkeypatch.delenv("WRO_THREADS")
-    assert thread_count() >= 1
-
-
-def test_ordered_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("WRO_THREADS", "4")
+def test_ordered_parallel_map_preserves_order():
     items = list(range(37))
     got = ordered_parallel_map(lambda x: x * x, items)
     assert got == [x * x for x in items]
+
+
+def test_bench_trace_targets_resolve():
+    # bench/run.py --trace 1 wraps every TARGETS entry by module and name;
+    # a renamed or deleted function would break the traced run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for mod, fn, _, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(mod), fn)), (mod, fn)
 
 
 # ----------------------------------------------------------------------
