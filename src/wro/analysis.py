@@ -246,16 +246,17 @@ def _jensen_product(coeffs, r: float) -> float:
     return float(out)
 
 
-def _quadrature_log_mean(values_at) -> float:
-    """Circle mean of ln|w| by trapezoid sums on doubling grids.
+def _quadrature_log_mean(values_at, grid_max: int) -> float:
+    """Circle (or torus) mean of ln|w| by trapezoid sums on doubling grids.
 
-    ``values_at(G)`` returns the samples on the G point grid.  Periodic
-    trapezoid sums converge geometrically for weights with no zeros near
-    the sample circle; failure to converge (or a zero hit) raises.
+    ``values_at(G)`` returns the samples on the G point grid (per axis),
+    for G = 64, 128, ... up to ``grid_max``.  Periodic trapezoid sums
+    converge geometrically for weights with no zeros near the sample
+    circle; failure to converge (or a zero hit) raises.
     """
     grid = 64
     prev = None
-    while grid <= _QUAD_GRID_MAX:
+    while grid <= grid_max:
         vals = np.abs(values_at(grid))
         if not np.all(vals > 0.0):
             raise ConvergenceError("weight vanishes on the sample circle")
@@ -297,7 +298,7 @@ def geometric_mean(w: Weight, r: float = 1.0, method: str = "auto") -> float:
         if not np.all(vals > 0.0):
             raise ConvergenceError("weight vanishes on the sample circle")
         return math.exp(float(np.mean(np.log(vals))))
-    return math.exp(_quadrature_log_mean(lambda g: boundary_values(w, g, r)))
+    return math.exp(_quadrature_log_mean(lambda g: boundary_values(w, g, r), _QUAD_GRID_MAX))
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ import numpy as np
 from . import ergodic
 from .analysis import (
     AmbiguousZeroError,
-    FactorizationSummary,
     _polished_roots,
     _rep_fractions,
     factorization_summary,
@@ -83,6 +82,9 @@ class InconsistentReportError(ClassifyError):
 
 #: circles closer than this (relative) merge into one reported circle
 CIRCLE_MERGE_TOL = 1e-9
+
+#: radii closer than this count as equal when testing set inclusion
+CONTAINS_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -139,22 +141,22 @@ class CircularSet:
             return 0.0
         return max(c.radial_interval()[1] for c in self.components)
 
-    def contains(self, other: "CircularSet", tol: float = 1e-12) -> bool:
+    def contains(self, other: "CircularSet") -> bool:
         """Whether ``other`` is a subset, by radial interval covering."""
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        merged = _merge_intervals([c.radial_interval() for c in self.components], tol)
+        merged = _merge_intervals([c.radial_interval() for c in self.components])
         for comp in other.components:
             lo, hi, lo_open, hi_open = comp.radial_interval()
             ok = False
             for mlo, mhi, mlo_open, mhi_open in merged:
-                lo_fits = mlo < lo - tol or (
-                    abs(mlo - lo) <= tol and (not mlo_open or lo_open)
+                lo_fits = mlo < lo - CONTAINS_TOL or (
+                    abs(mlo - lo) <= CONTAINS_TOL and (not mlo_open or lo_open)
                 )
-                hi_fits = mhi > hi + tol or (
-                    abs(mhi - hi) <= tol and (not mhi_open or hi_open)
+                hi_fits = mhi > hi + CONTAINS_TOL or (
+                    abs(mhi - hi) <= CONTAINS_TOL and (not mhi_open or hi_open)
                 )
                 if lo_fits and hi_fits:
                     ok = True
@@ -164,19 +166,19 @@ class CircularSet:
         return True
 
 
-def _merge_intervals(ivals, tol):
+def _merge_intervals(ivals):
     # closed endpoints sort before open ones so ties keep the closed side
     ivals = sorted(ivals, key=lambda t: (t[0], t[2], t[1]))
     merged = []
     for lo, hi, lo_open, hi_open in ivals:
         if merged:
             mlo, mhi, mlo_open, mhi_open = merged[-1]
-            touches = lo <= mhi + tol
-            open_gap = abs(lo - mhi) <= tol and lo_open and mhi_open
+            touches = lo <= mhi + CONTAINS_TOL
+            open_gap = abs(lo - mhi) <= CONTAINS_TOL and lo_open and mhi_open
             if touches and not open_gap:
-                if hi > mhi + tol:
+                if hi > mhi + CONTAINS_TOL:
                     new_hi, new_open = hi, hi_open
-                elif abs(hi - mhi) <= tol:
+                elif abs(hi - mhi) <= CONTAINS_TOL:
                     new_hi, new_open = mhi, (hi_open and mhi_open)
                 else:
                     new_hi, new_open = mhi, mhi_open
@@ -455,7 +457,6 @@ def _finish(
     index_map=(),
     open_flags=(),
     extra_rules=(),
-    echo: Optional[dict] = None,
 ) -> SpectrumReport:
     ordered = {k: sets[k] for k in REPORT_KEYS}
     cites = []
@@ -470,7 +471,6 @@ def _finish(
         index_map=tuple(index_map),
         open_flags=tuple(open_flags),
         citations=tuple(cites),
-        inputs_echo=echo,
     )
     problems = report_consistency(report)
     if problems:
@@ -479,30 +479,31 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# branch selection for closed form weights
+# closed form weights
 # ----------------------------------------------------------------------
 
 
-def _closed_form_branch(w: Weight) -> Tuple[int, Optional[FactorizationSummary]]:
-    """(1, 2, or 3, factorization) for a polynomial or rational weight;
-    (0, None) when a zero sits too near the circle to pick a branch."""
+def _closed_form(rule: str, w: Weight, extra_rules, inside, on_circle) -> SpectrumReport:
+    """Report of a polynomial or rational weight, by where its zeros sit.
+
+    Two branches read the same in every family: (unresolved), a zero too
+    near the circle to place, gets the sandwich at the boundary mean, and
+    (1), no zero in the closed disc, makes every set the circle
+    |lambda| = |w(0)|.  The family finishes the rest from the boundary
+    mean g: ``inside(g, m)`` for m zeros inside the disc and none on the
+    circle, ``on_circle(g)`` for a zero on the circle.
+    """
     try:
         fact = factorization_summary(w)
     except AmbiguousZeroError:
-        return 0, None
+        sets = _sandwich("%s(unresolved)" % rule, geometric_mean(w, 1.0))
+        return _finish(sets, extra_rules=extra_rules)
     if fact.zeros_boundary:
-        return 3, fact
+        return on_circle(fact.outer_value_mod)
     if fact.zero_count_inside:
-        return 2, fact
-    return 1, fact
-
-
-def _index_entries(fact: FactorizationSummary, g: float):
-    m = fact.zero_count_inside or 0
-    if m <= 0:
-        return ()
-    comp = Component("open_disc", r=float(g))
-    return (IndexEntry(component=comp, index=-m),)
+        return inside(fact.outer_value_mod, fact.zero_count_inside)
+    r0 = abs(weight_at_origin(w))
+    return _finish(_all_exact("%s(1)" % rule, circle(r0)), extra_rules=extra_rules)
 
 
 # ----------------------------------------------------------------------
@@ -514,23 +515,16 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
     rule = _TRICHOTOMY_RULE[sp.variant]
     rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
-        branch, fact = _closed_form_branch(w)
-        if branch == 0:
-            g = geometric_mean(w, 1.0)
-            return _finish(_sandwich("%s(unresolved)" % rule, g), extra_rules=extra_rules)
-        if branch == 1:
-            r0 = abs(weight_at_origin(w))
-            return _finish(_all_exact("%s(1)" % rule, circle(r0)), extra_rules=extra_rules)
-        g = fact.outer_value_mod
-        if branch == 2:
-            cite = "%s(2)" % rule
-            sets = _residual_disc(cite, g)
-            return _finish(
-                sets,
-                index_map=_index_entries(fact, g),
-                extra_rules=tuple(extra_rules) + ("blaschke-zero-index",),
-            )
-        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
+
+        def inside(g, m):
+            entry = IndexEntry(Component("open_disc", r=float(g)), index=-m)
+            more = tuple(extra_rules) + ("blaschke-zero-index",)
+            return _finish(_residual_disc("%s(2)" % rule, g), index_map=(entry,), extra_rules=more)
+
+        def on_circle(g):
+            return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
+
+        return _closed_form(rule, w, extra_rules, inside, on_circle)
 
     if isinstance(rep, Taylor):
         # a known zero count means boundary invertibility is certified
@@ -571,20 +565,16 @@ def _classify_ell1a(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     rule = "wiener-series-circle"
     rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
-        branch, fact = _closed_form_branch(w)
-        if branch == 0:
-            return _finish(_sandwich("%s(unresolved)" % rule, geometric_mean(w, 1.0)))
-        if branch == 1:
-            r0 = abs(weight_at_origin(w))
-            return _finish(_all_exact("%s(1)" % rule, circle(r0)))
         # not invertible in the series algebra: the full spectrum is the
         # closed disc of the boundary mean, but whether the circle
         # |lambda| = g exhausts the approximate point spectrum is open
-        g = fact.outer_value_mod
-        cite = "%s(2)" % rule
-        sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
-        sets["sigma"] = SetReport(closed_disc(g), EXACT, cite)
-        return _finish(sets, open_flags=(FLAG_AP_BOUNDARY,))
+        def not_invertible(g):
+            cite = "%s(2)" % rule
+            sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
+            sets["sigma"] = SetReport(closed_disc(g), EXACT, cite)
+            return _finish(sets, open_flags=(FLAG_AP_BOUNDARY,))
+
+        return _closed_form(rule, w, (), lambda g, m: not_invertible(g), not_invertible)
 
     if isinstance(rep, Taylor):
         g = geometric_mean(w, 1.0)
@@ -657,23 +647,20 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     else:
         raise ClassifyError("polydisc classification needs a polynomial weight")
 
-    branch, fact = _closed_form_branch(wa)
-    if branch == 0:
-        return _finish(_sandwich("%s(unresolved)" % rule, geometric_mean(wa, 1.0)))
-    if branch == 1:
-        r0 = abs(weight_at_origin(wa))
-        return _finish(_all_exact("%s(1)" % rule, circle(r0)))
-    g = fact.outer_value_mod
-    if branch == 2:
+    def inside(g, m):
         cite = "%s(2)" % rule
         sets = _residual_disc(cite, g)
         # on the polydisc the backward shift chain below a zero of the
         # weight has infinite codimension, so the index is minus infinity
         # and even sigma_3 fills the whole disc
         sets["sigma_3"] = SetReport(closed_disc(g), EXACT, cite)
-        entry = IndexEntry(Component("open_disc", r=float(g)), index=None, minus_infinity=True)
+        entry = IndexEntry(Component("open_disc", r=float(g)), minus_infinity=True)
         return _finish(sets, index_map=(entry,))
-    return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
+
+    def on_circle(g):
+        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
+
+    return _closed_form(rule, wa, (), inside, on_circle)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .analysis import (
     AnalysisError,
     ConvergenceError,
-    factorization_summary,
+    find_zeros,
     geometric_mean,
 )
 from .classify import (
@@ -332,19 +332,23 @@ def _radius_routes(job: JobDocument) -> Dict[str, Optional[float]]:
     return routes
 
 
-def _routes_agree(routes: Dict[str, Optional[float]], tol: float = 1e-9) -> bool:
+#: relative spread within which the radius routes agree
+ROUTE_TOL = 1e-9
+
+
+def _routes_agree(routes: Dict[str, Optional[float]]) -> bool:
     vals = [v for v in routes.values() if v is not None]
     if len(vals) < 2:
         return True
     lo, hi = min(vals), max(vals)
-    return (hi - lo) <= tol * max(hi, 1e-300)
+    return (hi - lo) <= ROUTE_TOL * max(hi, 1e-300)
 
 
 def cmd_radius(args) -> int:
     job = load_job(args.job)
     routes = _radius_routes(job)
     agree = _routes_agree(routes)
-    payload = {"routes": routes, "agreement": agree, "tolerance": 1e-9}
+    payload = {"routes": routes, "agreement": agree, "tolerance": ROUTE_TOL}
     _write_text(args.out, _dump_json(payload))
     return 0 if agree else 2
 
@@ -394,6 +398,7 @@ def cmd_scan(args) -> int:
 
 _SIGMA_COLOR = "#35507b"
 _AP_COLOR = "#a03232"
+_FILL_OPACITY = 0.15
 
 
 def _svg_open(lines: List[str]) -> None:
@@ -408,7 +413,7 @@ def _fmt(x: float) -> str:
     return "%.6f" % x
 
 
-def _svg_circle(lines, r_px, color, width, dashed=False, fill=None, opacity=0.15):
+def _svg_circle(lines, r_px, color, width, dashed=False, fill=None):
     style = 'cx="320" cy="320" r="%s" stroke="%s" stroke-width="%s"' % (
         _fmt(r_px),
         color,
@@ -419,11 +424,11 @@ def _svg_circle(lines, r_px, color, width, dashed=False, fill=None, opacity=0.15
     if fill is None:
         style += ' fill="none"'
     else:
-        style += ' fill="%s" fill-opacity="%s"' % (fill, _fmt(opacity))
+        style += ' fill="%s" fill-opacity="%s"' % (fill, _fmt(_FILL_OPACITY))
     lines.append("<circle %s/>" % style)
 
 
-def _svg_ring(lines, r_in_px, r_out_px, color, opacity):
+def _svg_ring(lines, r_in_px, r_out_px, color):
     def loop(r):
         return (
             "M %s 320 A %s %s 0 1 0 %s 320 A %s %s 0 1 0 %s 320 Z"
@@ -433,7 +438,7 @@ def _svg_ring(lines, r_in_px, r_out_px, color, opacity):
     d = loop(r_out_px) + " " + loop(r_in_px)
     lines.append(
         '<path d="%s" fill="%s" fill-opacity="%s" fill-rule="evenodd" stroke="none"/>'
-        % (d, color, _fmt(opacity))
+        % (d, color, _fmt(_FILL_OPACITY))
     )
 
 
@@ -454,7 +459,7 @@ def _draw_component(lines, comp: Component, scale: float, color: str, dash_circl
             fill=color,
         )
         return
-    _svg_ring(lines, comp.r_in * scale, comp.r_out * scale, color, 0.15)
+    _svg_ring(lines, comp.r_in * scale, comp.r_out * scale, color)
     for r in (comp.r_in, comp.r_out):
         _svg_circle(lines, r * scale, color, 1.5, dashed=comp.kind == "open_annulus")
 
@@ -577,7 +582,7 @@ def _check_radius_routes(job):
     vals = [v for v in routes.values() if v is not None]
     if len(vals) < 2:
         return _skipped("radius-routes", "fewer than two routes are available")
-    data = {"routes": routes, "tolerance": 1e-9}
+    data = {"routes": routes, "tolerance": ROUTE_TOL}
     return _verdict("radius-routes", _routes_agree(routes), data)
 
 
@@ -627,8 +632,8 @@ def _check_rank(job):
     order = job.params["truncation"]
     t = build_truncation(job.space, job.weight, job.rotation, order)
     result = truncation_rank(t)
-    fact = factorization_summary(job.weight)
-    invertible_disc = not fact.zeros_inside and not fact.zeros_boundary
+    zeros = find_zeros(job.weight)
+    invertible_disc = not zeros.inside and not zeros.boundary
     origin_zero = weight_at_origin(job.weight) == 0
     data = {
         "order": order,

@@ -8,11 +8,12 @@ the cocycle of the weight along rotation orbits,
 This module computes those products (in the log domain, with -inf for
 exact zeros), runs the two sided membership scan that certifies whether
 a circle |lambda| = const meets the approximate point spectrum, and
-evaluates the rotation radius of the weight by three independent
-routes: the boundary geometric mean, the group rotation maximum formula
-for periodic rotations, and the factored product formula for polynomial
-weights.  The routes are deliberately kept separate so they can be
-cross checked against each other.
+evaluates the rotation radius of the weight: the group rotation maximum
+formula for periodic rotations, and the factored product formula for
+polynomial weights.  Only the periodic route is independent of the
+boundary geometric mean: under a non periodic rotation the unique
+invariant measure makes the group rotation radius that mean, and
+``group_rotation_radius`` returns ``geometric_mean(w, 1.0)`` itself.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import (
-    QUAD_TOL,
     AnalysisError,
-    ConvergenceError,
     _polished_roots,
+    _quadrature_log_mean,
     geometric_mean,
 )
 from .weights import (
@@ -103,18 +103,28 @@ class OrbitProduct:
         return self.forward.size - 1
 
 
+def _orbit_log_sums(w: Weight, alpha: complex, pts: np.ndarray, n_max: int):
+    """Cumulative ln|w| along the orbits of the points ``pts``.
+
+    Row n - 1 of the two (n_max, pts.size) arrays holds ln|w_n(k)|
+    (forward) and ln|w_n(alpha^{-n} k)| (backward) for each point k.
+    """
+    fwd_orbit = (alpha ** np.arange(n_max))[:, None] * pts[None, :]
+    bwd_orbit = (alpha ** (-np.arange(1, n_max + 1)))[:, None] * pts[None, :]
+    fwd = np.cumsum(_log_abs(evaluate(w, fwd_orbit)), axis=0)
+    bwd = np.cumsum(_log_abs(evaluate(w, bwd_orbit)), axis=0)
+    return fwd, bwd
+
+
 def orbit_products(w: Weight, rotation, point: complex, n_max: int) -> OrbitProduct:
     angle = _scan_angle(rotation)
     _orbit_evaluable(w)
     if n_max < 1:
         raise AnalysisError("n_max must be positive")
-    alpha = angle.alpha()
     k = complex(point)
-    steps = alpha ** np.arange(n_max)
-    fwd_vals = _log_abs(evaluate(w, k * steps))
-    bwd_vals = _log_abs(evaluate(w, k * alpha ** (-np.arange(1, n_max + 1))))
-    forward = np.concatenate([[0.0], np.cumsum(fwd_vals)])
-    backward = np.concatenate([[0.0], np.cumsum(bwd_vals)])
+    fwd, bwd = _orbit_log_sums(w, angle.alpha(), np.array([k]), n_max)
+    forward = np.concatenate([[0.0], fwd[:, 0]])
+    backward = np.concatenate([[0.0], bwd[:, 0]])
     return OrbitProduct(point=k, forward=forward, backward=backward)
 
 
@@ -152,19 +162,10 @@ class MembershipVerdict:
 def _membership_margins(w: Weight, alpha: complex, lam_abs: float, n_max: int, grid: int):
     """Margin of every grid point, vectorized over the whole grid."""
     pts = np.exp(2j * np.pi * np.arange(grid) / grid)
-    log_lam = math.log(lam_abs)
-    ns = np.arange(1, n_max + 1)
-
-    fwd_orbit = (alpha ** np.arange(n_max))[:, None] * pts[None, :]
-    fwd = np.cumsum(_log_abs(evaluate(w, fwd_orbit)), axis=0)
-    fwd -= ns[:, None] * log_lam
-    margin_fwd = fwd.min(axis=0)
-
-    bwd_orbit = (alpha ** (-np.arange(1, n_max + 1)))[:, None] * pts[None, :]
-    bwd = np.cumsum(_log_abs(evaluate(w, bwd_orbit)), axis=0)
-    bwd = ns[:, None] * log_lam - bwd
-    margin_bwd = bwd.min(axis=0)
-
+    fwd, bwd = _orbit_log_sums(w, alpha, pts, n_max)
+    lam_n = np.arange(1, n_max + 1)[:, None] * math.log(lam_abs)
+    margin_fwd = (fwd - lam_n).min(axis=0)
+    margin_bwd = (lam_n - bwd).min(axis=0)
     return pts, np.minimum(margin_fwd, margin_bwd)
 
 
@@ -266,10 +267,8 @@ def _torus_log_mean(rep: TorusPolynomial) -> float:
     n = rep.dim
     if n > 3:
         raise AnalysisError("tensor quadrature supports at most 3 variables")
-    grid_cap = {2: 1 << 11, 3: 1 << 7}[n]
-    grid = 64
-    prev = None
-    while grid <= grid_cap:
+
+    def values_at(grid):
         axis = np.exp(2j * np.pi * np.arange(grid) / grid)
         acc = np.zeros((grid,) * n, dtype=complex)
         for exp, coeff in rep.terms:
@@ -280,15 +279,9 @@ def _torus_log_mean(rep: TorusPolynomial) -> float:
                     shape[i] = grid
                     term = term * (axis ** e).reshape(shape)
             acc = acc + term
-        mags = np.abs(acc)
-        if not np.all(mags > 0.0):
-            raise ConvergenceError("weight vanishes on the sample torus")
-        mean = float(np.mean(np.log(mags)))
-        if prev is not None and abs(mean - prev) <= QUAD_TOL * max(1.0, abs(mean)):
-            return mean
-        prev = mean
-        grid *= 2
-    raise ConvergenceError("torus quadrature did not converge")
+        return acc
+
+    return _quadrature_log_mean(values_at, {2: 1 << 11, 3: 1 << 7}[n])
 
 
 def group_rotation_radius(w: Weight, rotation) -> float:

@@ -302,13 +302,11 @@ def evaluate(w: Weight, z) -> np.ndarray:
     TorusPolynomial expects z with shape (..., dim).
     """
     rep = w.rep
-    if isinstance(rep, Polynomial):
+    if isinstance(rep, (Polynomial, Taylor)):
         return npoly.polyval(np.asarray(z, dtype=complex), np.asarray(rep.coeffs))
     if isinstance(rep, Rational):
         zz = np.asarray(z, dtype=complex)
         return npoly.polyval(zz, np.asarray(rep.num)) / npoly.polyval(zz, np.asarray(rep.den))
-    if isinstance(rep, Taylor):
-        return npoly.polyval(np.asarray(z, dtype=complex), np.asarray(rep.coeffs))
     if isinstance(rep, TorusPolynomial):
         zz = np.asarray(z, dtype=complex)
         if zz.shape[-1] != rep.dim:

@@ -39,6 +39,7 @@ from wro.classify import (
     FLAG_AP_BOUNDARY,
     FLAG_BEYOND_LIPSCHITZ,
     FLAG_INNER_ANNULUS_INDEX,
+    IndexEntry,
     bounds,
 )
 from wro.weights import space
@@ -358,6 +359,52 @@ def test_polydisc_accepts_plain_polynomial_lifted():
     rv = RotationVector((GOLDEN, named_rotation("sqrt2"), named_rotation("e_frac")), ())
     rep = classify(sp, polynomial([-2, 1]), rv)
     assert rep.sets["sigma"].set == circle(2.0)
+
+
+#: zero of w(z) = z - c per closed form branch; 1 + 1e-8 is too near the
+#: circle to place
+_BRANCH_ZEROS = {"zero-free": 2.0, "inside": 0.5, "on-circle": 1.0, "near-circle": 1.0 + 1e-8}
+
+
+@pytest.mark.parametrize("zero", sorted(_BRANCH_ZEROS))
+@pytest.mark.parametrize("variant", ["bergman", "ell1a", "polydisc_algebra"])
+def test_closed_form_branch_table(variant, zero):
+    """Citation, sigma, sigma_ap, index and flags of every closed form branch."""
+    c = _BRANCH_ZEROS[zero]
+    if variant == "polydisc_algebra":
+        rep = classify(space(variant, dim=2), torus_polynomial(2, {(0, 0): -c, (1, 0): 1.0}), RV2)
+        rule = "polydisc-algebra-cases"
+    else:
+        rep = classify(space(variant, p=2) if variant == "bergman" else space(variant),
+                       polynomial([-c, 1.0]), GOLDEN)
+        rule = {"bergman": "bergman-trichotomy", "ell1a": "wiener-series-circle"}[variant]
+    exact, disc = Status("exact"), closed_disc(1.0)
+    index, flags, extra = (), (), ()
+    if zero == "zero-free":
+        branch, sigma, ap = "(1)", (circle(2.0), exact), (circle(2.0), exact)
+    elif zero == "near-circle":
+        band = bounds(circle(c), closed_disc(c))
+        branch, sigma, ap = "(unresolved)", (closed_disc(c), band), (closed_disc(c), band)
+    elif variant == "ell1a":
+        # not invertible in the series algebra: only sigma is known
+        branch, sigma, ap = "(2)", (disc, exact), (empty_set(), Status("unknown"))
+        flags = (FLAG_AP_BOUNDARY,)
+    elif zero == "on-circle":
+        branch, sigma, ap = "(3)", (disc, exact), (disc, exact)
+    else:
+        branch, sigma, ap = "(2)", (disc, exact), (circle(1.0), exact)
+        if variant == "bergman":
+            index = (IndexEntry(Component("open_disc", r=1.0), index=-1),)
+            extra = ("blaschke-zero-index",)
+        else:
+            index = (IndexEntry(Component("open_disc", r=1.0), minus_infinity=True),)
+    cite = rule + branch
+    assert {k: sr.citation for k, sr in rep.sets.items()} == {k: cite for k in REPORT_KEYS}
+    assert rep.citations == ("rotation-circles",) + extra + (cite,)
+    assert (rep.sets["sigma"].set, rep.sets["sigma"].status) == sigma
+    assert (rep.sets["sigma_ap"].set, rep.sets["sigma_ap"].status) == ap
+    assert rep.index_map == index
+    assert rep.open_flags == flags
 
 
 def test_polydisc_dimension_mismatches():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wro import (
     AnalysisError,
+    ConvergenceError,
     RotationVector,
     WeightError,
     ap_membership,
@@ -199,6 +200,16 @@ def test_vector_rotation_radius_torus_mean():
     assert group_rotation_radius(w, rv) == pytest.approx(2.0, rel=1e-9)
     mixed = torus_polynomial(2, {(0, 0): 4.0, (1, 1): 1.0})
     assert group_rotation_radius(mixed, rv) == pytest.approx(4.0, rel=1e-6)
+    # (2 + z_1)(3 + z_2 z_3): three variables, below the 2^7 grid cap
+    rv3 = RotationVector(rv.angles + (named_rotation("e_frac"),), ())
+    product = torus_polynomial(3, {(0, 0, 0): 6.0, (1, 0, 0): 3.0, (0, 1, 1): 2.0, (1, 1, 1): 1.0})
+    assert group_rotation_radius(product, rv3) == pytest.approx(6.0, rel=1e-12)
+    rv4 = RotationVector(rv3.angles + (raw_radians(0.1234, assumed_nonperiodic=True),), ())
+    with pytest.raises(AnalysisError):
+        group_rotation_radius(torus_polynomial(4, {(0, 0, 0, 0): 2.0, (1, 1, 1, 1): 1.0}), rv4)
+    # 1 + z_1 + z_2 vanishes at (omega, conj(omega)), omega = exp(2 pi i / 3)
+    with pytest.raises(ConvergenceError):
+        group_rotation_radius(torus_polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}), rv)
 
 
 def test_polynomial_radius_cases_product():
