@@ -22,6 +22,7 @@ Tri-state answers are the strings "yes", "no", "unknown".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -119,6 +120,18 @@ def _cluster(roots: np.ndarray):
     return out
 
 
+def _zero_clusters(coeffs) -> tuple:
+    """The one clustering (``_cluster`` of ``_polished_roots``) that every
+    zero question about a closed form weight reads, memoised on the bytes
+    of the trimmed coefficients, so a signed zero is its own key."""
+    return _clusters_by_bytes(np.asarray(_trim(coeffs), dtype=complex).tobytes())
+
+
+@functools.lru_cache(maxsize=64)  # bounded for long running library callers
+def _clusters_by_bytes(key: bytes) -> tuple:
+    return tuple(_cluster(_polished_roots(np.frombuffer(key, dtype=complex))))
+
+
 def _rep_fractions(w: Weight) -> Tuple[tuple, tuple]:
     """(numerator coeffs, denominator coeffs) of a closed form weight."""
     rep = w.rep
@@ -133,9 +146,10 @@ def _rep_fractions(w: Weight) -> Tuple[tuple, tuple]:
 class ZeroSet:
     """Zeros of w in the closed unit disc.
 
-    When ``count_only`` is set the individual locations are unknown and
-    only ``total_inside`` (an argument principle winding number) is
-    meaningful; ``certified`` records whether that count is rigorous.
+    ``total_inside`` counts the zeros inside with multiplicity.  When
+    ``count_only`` is set the individual locations are unknown and that
+    count is an argument principle winding number; ``certified`` records
+    whether it is rigorous.
     """
 
     inside: tuple = ()
@@ -145,22 +159,14 @@ class ZeroSet:
     certified: bool = True
 
     @property
-    def inside_multiplicity(self) -> int:
-        if self.count_only:
-            if self.total_inside is None:
-                raise AnalysisError("zero count unavailable")
-            return self.total_inside
-        return sum(m for _, m in self.inside)
-
-    @property
     def has_boundary_zero(self) -> bool:
         return bool(self.boundary)
 
 
 def _split_circle(pairs):
-    """Split clustered zeros into inside / boundary / outside of the unit
-    circle, rejecting the ambiguous band around it."""
-    inside, boundary, outside = [], [], []
+    """The clustered zeros inside and on the unit circle (the rest lie
+    outside), rejecting the ambiguous band around it."""
+    inside, boundary = [], []
     for z, m in pairs:
         d = abs(abs(z) - 1.0)
         if d < TOL_ZERO:
@@ -172,9 +178,7 @@ def _split_circle(pairs):
             )
         elif abs(z) < 1.0:
             inside.append((z, m))
-        else:
-            outside.append((z, m))
-    return inside, boundary, outside
+    return tuple(inside), tuple(boundary)
 
 
 def _winding_count(vals: np.ndarray) -> int:
@@ -199,14 +203,8 @@ def find_zeros(w: Weight) -> ZeroSet:
     """
     rep = w.rep
     if isinstance(rep, (Polynomial, Rational)):
-        num, _ = _rep_fractions(w)
-        pairs = _cluster(_polished_roots(num))
-        inside, boundary, _ = _split_circle(pairs)
-        return ZeroSet(
-            inside=tuple(inside),
-            boundary=tuple(boundary),
-            total_inside=sum(m for _, m in inside),
-        )
+        inside, boundary = _split_circle(_zero_clusters(_rep_fractions(w)[0]))
+        return ZeroSet(inside, boundary, total_inside=sum(m for _, m in inside))
     if isinstance(rep, Taylor):
         vals = boundary_values(w, 4096)
         lo = float(np.min(np.abs(vals)))
@@ -238,10 +236,8 @@ def _jensen_product(coeffs, r: float) -> float:
     the product runs over cluster means rather than raw roots; this
     recovers nearly full precision for repeated zeros.
     """
-    c = np.asarray(_trim(coeffs), dtype=complex)
-    lead = abs(complex(c[-1]))
-    out = lead
-    for z, m in _cluster(_polished_roots(c)):
+    out = abs(complex(_trim(coeffs)[-1]))
+    for z, m in _zero_clusters(coeffs):
         out *= max(r, abs(z)) ** m
     return float(out)
 
@@ -344,7 +340,7 @@ def invertibility_profile(w: Weight) -> InvertibilityProfile:
     # so invertibility in the series algebra is exactly zero freeness of
     # the closed disc
     boundary = NO if zs.boundary else YES
-    analytic = NO if (zs.inside_multiplicity or zs.boundary) else YES
+    analytic = NO if (zs.total_inside or zs.boundary) else YES
     return InvertibilityProfile(analytic, boundary, analytic, boundary)
 
 
@@ -373,7 +369,7 @@ def factorization_summary(w: Weight) -> FactorizationSummary:
         return FactorizationSummary(
             zeros_inside=zs.inside,
             zeros_boundary=zs.boundary,
-            zero_count_inside=zs.inside_multiplicity,
+            zero_count_inside=zs.total_inside,
             count_only=False,
             blaschke_finite=True,
             outer_value_mod=geometric_mean(w, 1.0),

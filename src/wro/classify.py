@@ -48,9 +48,10 @@ import numpy as np
 
 from . import ergodic
 from .analysis import (
+    CLUSTER_TOL,
     AmbiguousZeroError,
-    _polished_roots,
     _rep_fractions,
+    _zero_clusters,
     factorization_summary,
     geometric_mean,
 )
@@ -598,9 +599,8 @@ def _classify_annulus(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         )
     R = float(sp.inner_radius)
     ncoef, _ = _rep_fractions(w)
-    mags = np.abs(_polished_roots(ncoef))
-    for target in (1.0, R):
-        if mags.size and np.any(np.abs(mags - target) <= 1e-7 * max(1.0, target)):
+    for z, _ in _zero_clusters(ncoef):
+        if min(abs(abs(z) - 1.0), abs(abs(z) - R)) <= CLUSTER_TOL:
             raise ClassifyError("weight vanishes on an annulus boundary circle")
     g1 = geometric_mean(w, 1.0)
     gR = geometric_mean(w, R)
@@ -639,7 +639,7 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
             )
         wa = rep.axis_polynomial()
         if wa is None:
-            g = math.exp(ergodic._torus_log_mean(rep))
+            g = math.exp(ergodic._torus_log_mean(w))
             return _finish(_sandwich("%s(unresolved)" % rule, g))
     elif isinstance(rep, (Polynomial, Rational)):
         # a one variable weight read as w(z_1, ..., z_n) = w(z_1)

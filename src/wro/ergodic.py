@@ -240,17 +240,17 @@ def _periodic_radius(w: Weight, angle: RotationAngle) -> float:
     _orbit_evaluable(w)
     grid = 1 << 14
     ts = np.exp(2j * np.pi * np.arange(grid) / grid)
-    orbit = (alpha ** np.arange(q))[:, None] * ts[None, :]
-    means = _log_abs(evaluate(w, orbit)).mean(axis=0)
+    acc = np.zeros(grid)  # row by row: the (q, grid) mean, bit for bit, minus its temporaries
+    for a in alpha ** np.arange(q):
+        acc += _log_abs(evaluate(w, a * ts))
+    means = acc / q
     j = int(np.argmax(means))
     theta0 = 2.0 * math.pi * j / grid
     span = 2.0 * math.pi / grid
 
     def neg_mean(theta: float) -> float:
         z = complex(math.cos(theta), math.sin(theta))
-        orbit_vals = evaluate(w, z * alpha ** np.arange(q))
-        with np.errstate(divide="ignore"):
-            return -float(np.mean(np.log(np.abs(orbit_vals))))
+        return -float(np.mean(_log_abs(evaluate(w, z * alpha ** np.arange(q)))))
 
     from scipy import optimize
 
@@ -262,24 +262,15 @@ def _periodic_radius(w: Weight, angle: RotationAngle) -> float:
     return math.exp(best)
 
 
-def _torus_log_mean(rep: TorusPolynomial) -> float:
+def _torus_log_mean(w: Weight) -> float:
     """Tensor trapezoid mean of ln|w| over the torus, doubling all axes."""
-    n = rep.dim
+    n = w.rep.dim
     if n > 3:
         raise AnalysisError("tensor quadrature supports at most 3 variables")
 
     def values_at(grid):
         axis = np.exp(2j * np.pi * np.arange(grid) / grid)
-        acc = np.zeros((grid,) * n, dtype=complex)
-        for exp, coeff in rep.terms:
-            term = np.full((1,) * n, coeff, dtype=complex)
-            for i, e in enumerate(exp):
-                if e:
-                    shape = [1] * n
-                    shape[i] = grid
-                    term = term * (axis ** e).reshape(shape)
-            acc = acc + term
-        return acc
+        return evaluate(w, *(axis.reshape([grid if j == i else 1 for j in range(n)]) for i in range(n)))
 
     return _quadrature_log_mean(values_at, {2: 1 << 11, 3: 1 << 7}[n])
 
@@ -299,7 +290,7 @@ def group_rotation_radius(w: Weight, rotation) -> float:
         if isinstance(w.rep, TorusPolynomial):
             wa = w.rep.axis_polynomial()
             if wa is None:
-                return math.exp(_torus_log_mean(w.rep))
+                return math.exp(_torus_log_mean(w))
             w = wa
         # a weight in one variable: the torus mean collapses to the circle
         # mean of that variable
@@ -320,7 +311,9 @@ def polynomial_radius_cases(w: Weight) -> float:
     |lead| * prod max(1, |c_k|): zeros inside the disc contribute the
     coordinate radius 1, zeros outside contribute their own modulus.
     Zeros within TOL_ZERO of the circle make the case split ill posed
-    and are rejected.
+    and are rejected.  This route finds its own raw companion roots, not
+    the shared clustering of ``analysis``, so that it stays an independent
+    reference for the closed form mean.
     """
     if not isinstance(w.rep, Polynomial):
         raise AnalysisError("the factored radius route needs a polynomial weight")

@@ -99,6 +99,17 @@ def _is_real_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_integer(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(value: object, what: str) -> float:
+    """A finite real JSON number; strings, booleans and pairs are refused."""
+    if not _is_real_number(value):
+        raise WeightError("%s must be a number, got %r" % (what, value))
+    return _as_complex_scalar(value, what).real
+
+
 def _as_complex_scalar(value: object, what: str) -> complex:
     """Read a JSON number, an [re, im] pair, or a complex scalar; both
     parts must be finite (``json`` accepts NaN and Infinity)."""
@@ -119,6 +130,8 @@ def _as_complex_scalar(value: object, what: str) -> complex:
 
 
 def _coeff_tuple(values: Iterable[object], what: str) -> tuple:
+    if not isinstance(values, Iterable):
+        raise WeightError("%s list must be a list, got %r" % (what, values))
     out = tuple(_as_complex_scalar(v, what) for v in values)
     if not out:
         raise WeightError("%s list is empty" % what)
@@ -254,11 +267,8 @@ def rational(num: Iterable[complex], den: Iterable[complex]) -> Weight:
 
 def taylor(coeffs: Iterable[complex], tail_bound: float, tags: Iterable[str] = ()) -> Weight:
     cs = _coeff_tuple(coeffs, "taylor coefficient")
-    try:
-        tb = float(tail_bound)
-    except (TypeError, ValueError, OverflowError):
-        tb = math.nan
-    if not (tb >= 0.0) or not math.isfinite(tb):
+    tb = _real(tail_bound, "tail bound")
+    if tb < 0.0:
         raise WeightError("tail bound must be a finite nonnegative number, got %r" % (tail_bound,))
     if all(c == 0 for c in cs) and tb == 0.0:
         raise WeightError("weight is identically zero")
@@ -272,12 +282,12 @@ def boundary_sample_weight(values: Iterable[complex], tags: Iterable[str] = ()) 
 
 
 def torus_polynomial(dim: int, terms: Mapping[tuple, complex]) -> Weight:
-    if not isinstance(dim, int) or dim < 2:
-        raise WeightError("polydisc weights need dim >= 2")
+    if not _is_integer(dim) or dim < 2:
+        raise WeightError("polydisc weights need an integer dim >= 2")
     norm = {}
     for exp, coeff in terms.items():
         exp = tuple(exp)
-        if len(exp) != dim or any((not isinstance(e, int)) or e < 0 for e in exp):
+        if len(exp) != dim or not all(_is_integer(e) and e >= 0 for e in exp):
             raise WeightError("bad exponent tuple %r for dim %d" % (exp, dim))
         c = complex(coeff)
         if c != 0:
@@ -293,30 +303,33 @@ def torus_polynomial(dim: int, terms: Mapping[tuple, complex]) -> Weight:
 # ----------------------------------------------------------------------
 
 
-def evaluate(w: Weight, z) -> np.ndarray:
+def evaluate(w: Weight, *z) -> np.ndarray:
     """Evaluate w at z (scalar or ndarray).
 
     Polynomial and Rational are exact.  Taylor uses the stored partial
     sum; on the closed disc the error is at most the tail bound.
     BoundarySamples cannot be evaluated off its grid and raises.
-    TorusPolynomial expects z with shape (..., dim).
+    TorusPolynomial takes one array per variable, ``evaluate(w, z1, ...,
+    z_dim)``; the arrays broadcast against each other, so per axis grids
+    reshaped along their own axis give the values on the tensor grid.
     """
     rep = w.rep
+    dim = rep.dim if isinstance(rep, TorusPolynomial) else 1
+    if len(z) != dim:
+        raise WeightError("got %d coordinate arrays, weight has dim %d" % (len(z), dim))
     if isinstance(rep, (Polynomial, Taylor)):
-        return npoly.polyval(np.asarray(z, dtype=complex), np.asarray(rep.coeffs))
+        return npoly.polyval(np.asarray(z[0], dtype=complex), np.asarray(rep.coeffs))
     if isinstance(rep, Rational):
-        zz = np.asarray(z, dtype=complex)
+        zz = np.asarray(z[0], dtype=complex)
         return npoly.polyval(zz, np.asarray(rep.num)) / npoly.polyval(zz, np.asarray(rep.den))
     if isinstance(rep, TorusPolynomial):
-        zz = np.asarray(z, dtype=complex)
-        if zz.shape[-1] != rep.dim:
-            raise WeightError("point has %d coordinates, weight has dim %d" % (zz.shape[-1], rep.dim))
-        acc = np.zeros(zz.shape[:-1], dtype=complex)
+        axes = [np.asarray(x, dtype=complex) for x in z]
+        acc = np.zeros(np.broadcast_shapes(*(a.shape for a in axes)), dtype=complex)
         for exp, coeff in rep.terms:
-            term = np.full(zz.shape[:-1], coeff, dtype=complex)
-            for i, e in enumerate(exp):
+            term = np.full((1,) * acc.ndim, coeff, dtype=complex)
+            for a, e in zip(axes, exp):
                 if e:
-                    term = term * zz[..., i] ** e
+                    term = term * a ** e
             acc = acc + term
         return acc
     raise WeightError("sampled weights only provide boundary data on their own grid")
@@ -446,15 +459,13 @@ def root_of_unity(p: int, q: int) -> RotationAngle:
 
 
 def named_rotation(name: str) -> RotationAngle:
-    if name not in NAMED_ROTATIONS:
+    if not isinstance(name, str) or name not in NAMED_ROTATIONS:
         raise WeightError("unknown rotation name %r (known: %s)" % (name, sorted(NAMED_ROTATIONS)))
     return RotationAngle("named", name=name)
 
 
 def raw_radians(value: float, assumed_nonperiodic: bool = False) -> RotationAngle:
-    v = float(value)
-    if not math.isfinite(v):
-        raise WeightError("rotation angle must be finite")
+    v = _real(value, "rotation angle")
     return RotationAngle("radians", radians=v, assumed_nonperiodic=bool(assumed_nonperiodic))
 
 
@@ -575,8 +586,8 @@ def parse_weight(doc: Mapping) -> Weight:
         raise WeightError("weight must be a JSON object")
     kind = doc.get("type")
     tags = doc.get("tags", [])
-    if not isinstance(tags, (list, tuple)):
-        raise WeightError("tags must be a list")
+    if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
+        raise WeightError("tags must be a list of strings")
     if kind == "poly":
         return polynomial(doc.get("coeffs", []), tags)
     if kind == "rational":
@@ -590,20 +601,19 @@ def parse_weight(doc: Mapping) -> Weight:
     if kind == "samples":
         return boundary_sample_weight(doc.get("values", []), tags)
     if kind == "polynd":
-        dim = doc.get("dim")
         terms_doc = doc.get("terms", [])
-        if not isinstance(dim, int):
-            raise WeightError("polynd weights need an integer dim")
+        if not isinstance(terms_doc, list):
+            raise WeightError("polynd terms must be a list")
         terms = {}
         for item in terms_doc:
-            if not isinstance(item, Mapping) or "exp" not in item or "coeff" not in item:
-                raise WeightError("each polynd term needs exp and coeff")
+            if not isinstance(item, Mapping) or not isinstance(item.get("exp"), list) or "coeff" not in item:
+                raise WeightError("each polynd term needs an exp list and a coeff")
             exp = tuple(item["exp"])
-            if not all(isinstance(e, int) and e >= 0 for e in exp):
+            if not all(_is_integer(e) and e >= 0 for e in exp):
                 raise WeightError("polynd exponents must be nonnegative integers")
             c = _as_complex_scalar(item["coeff"], "polynd coefficient")
             terms[exp] = terms.get(exp, 0) + c
-        return torus_polynomial(dim, terms)
+        return torus_polynomial(doc.get("dim"), terms)
     raise WeightError("unknown weight type %r" % kind)
 
 
@@ -616,13 +626,16 @@ def parse_rotation(doc: Mapping) -> Rotation:
         return named_rotation(doc.get("name", ""))
     if kind == "rational":
         p, q = doc.get("p"), doc.get("q")
-        if not isinstance(p, int) or not isinstance(q, int):
+        if not _is_integer(p) or not _is_integer(q):
             raise WeightError("rational rotations need integer p and q")
         return root_of_unity(p, q)
     if kind == "radians":
         if "value" not in doc:
             raise WeightError("radians rotations need a value")
-        return raw_radians(doc["value"], doc.get("assumed_nonperiodic", False))
+        assumed = doc.get("assumed_nonperiodic", False)
+        if not isinstance(assumed, bool):
+            raise WeightError("assumed_nonperiodic must be true or false, got %r" % (assumed,))
+        return raw_radians(doc["value"], assumed)
     if kind == "vector":
         comps = doc.get("components", [])
         if not isinstance(comps, list) or len(comps) < 2:
@@ -638,7 +651,7 @@ def parse_rotation(doc: Mapping) -> Rotation:
             raise WeightError("relations must be a list of integer vectors")
         relations = []
         for m in rels:
-            if not isinstance(m, list) or not all(isinstance(x, int) for x in m):
+            if not isinstance(m, list) or not all(map(_is_integer, m)):
                 raise WeightError("relations must be integer vectors")
             relations.append(tuple(m))
         return RotationVector(tuple(angles), tuple(relations))
@@ -657,16 +670,11 @@ def parse_space(doc: Mapping) -> SpaceSpec:
         if name in doc:
             val = doc[name]
             if name in ("order", "dim"):
-                if not isinstance(val, int):
+                if not _is_integer(val):
                     raise WeightError("%s must be an integer" % name)
                 kw[name] = val
             else:
-                try:
-                    kw[name] = float(val)
-                except (TypeError, ValueError, OverflowError):
-                    raise WeightError("%s must be a number, got %r" % (name, val)) from None
-                if not math.isfinite(kw[name]):
-                    raise WeightError("%s must be finite, got %r" % (name, val))
+                kw[name] = _real(val, name)
     extra = set(doc) - {"variant", "p", "order", "inner_radius", "dim"}
     if extra:
         raise WeightError("unknown space fields: %s" % sorted(extra))

@@ -272,7 +272,15 @@ def test_exit_1_on_bad_inputs(tmp_path, capsys):
         "rotation": {"kind": "root_of_unity", "p": 1, "q": 3},
     })
     assert main(["classify", "--job", bad_rot]) == 1
+    # bool("false") is true: this job used to classify with exact sets
+    bad_flag = _write_job(tmp_path, "flag.json", {
+        "space": {"variant": "bergman", "p": 2},
+        "weight": {"type": "poly", "coeffs": [1, -2.5, 1]},
+        "rotation": {"kind": "radians", "value": 1.5, "assumed_nonperiodic": "false"},
+    })
     capsys.readouterr()
+    assert main(["classify", "--job", bad_flag]) == 1
+    assert capsys.readouterr().err.startswith("error: assumed_nonperiodic")
 
 
 def test_exit_2_on_numerical_failure(tmp_path, capsys):
@@ -320,6 +328,44 @@ def test_exit_1_on_non_finite_numbers(tmp_path, capsys, weight):
         warnings.simplefilter("error")
         assert main(["classify", "--job", job]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# shared weight facts
+# ----------------------------------------------------------------------
+
+
+def test_one_root_finding_per_coefficient_list(tmp_path, monkeypatch, capsys):
+    # wrapped in every wro module namespace that holds the name, so a
+    # call is counted however it is looked up
+    from wro import analysis
+
+    orig = analysis._polished_roots
+    searched = []
+
+    def counted(coeffs):
+        searched.append(np.asarray(analysis._trim(coeffs), dtype=complex).tobytes())
+        return orig(coeffs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "wro" or name.startswith("wro.")) and getattr(mod, "_polished_roots", None) is orig:
+            monkeypatch.setattr(mod, "_polished_roots", counted)
+    bergman = _bergman_job(tmp_path, coeffs=(1, -2.5, 1),
+                           params={"truncation": 64, "ladder": [32, 64], "m_ladder": [4, 16]})
+    annulus = _write_job(tmp_path, "annulus.json", {
+        "space": {"variant": "annulus_hardy", "inner_radius": 0.5, "p": 2},
+        "weight": {"type": "rational", "num": [-0.75, 1], "den": [1, 0.25]},
+        "rotation": {"kind": "named", "name": "golden"},
+    })
+    out = str(tmp_path / "out.json")
+    for command, job in (("classify", bergman), ("verify", bergman), ("radius", bergman),
+                         ("classify", annulus)):
+        analysis._clusters_by_bytes.cache_clear()
+        searched.clear()
+        assert main([command, "--job", job, "--out", out]) == 0
+        # the numerator and the (constant) denominator, once each
+        assert len(searched) == len(set(searched)) == 2, command
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------

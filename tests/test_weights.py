@@ -85,6 +85,9 @@ def test_rational_rejects_denominator_zero_near_closed_disc():
 def test_taylor_validation():
     with pytest.raises(WeightError):
         taylor([1, 1], -0.25)
+    for tail in ("0.1", True, [0.1]):
+        with pytest.raises(WeightError, match="tail bound"):
+            parse_weight({"type": "taylor", "coeffs": [1, 1], "tail_bound": tail})
     w = taylor([1, 1], 0.0, tags=["H_inf"])
     assert w.rep.tail_bound == 0.0
     assert w.has_tag("H_inf")
@@ -98,6 +101,24 @@ def test_boundary_samples_need_power_of_two_grid():
         boundary_sample_weight([1.0] * 32)   # below the minimum grid
     w = boundary_sample_weight([1.0] * 64)
     assert w.rep.grid == 64
+
+
+def test_evaluate_torus_takes_one_array_per_variable():
+    w = torus_polynomial(3, {(0, 0, 0): 2.0, (1, 2, 0): -1.5j, (0, 1, 3): 0.25})
+    rng = np.random.default_rng(3)
+    z1, z2, z3 = np.exp(2j * np.pi * rng.random((3, 5)))
+    explicit = 2.0 - 1.5j * z1 * z2 ** 2 + 0.25 * z2 * z3 ** 3
+    assert np.allclose(evaluate(w, z1, z2, z3), explicit, rtol=0, atol=1e-14)
+    # per axis grids broadcast to the tensor grid
+    grid = evaluate(w, z1[:, None, None], z2[None, :, None], z3[None, None, :])
+    assert grid.shape == (5, 5, 5)
+    assert np.allclose(grid[1, 2, 3], 2.0 - 1.5j * z1[1] * z2[2] ** 2 + 0.25 * z2[2] * z3[3] ** 3,
+                       rtol=0, atol=1e-14)
+    for args in ((z1,), (z1, z2), (z1, z2, z3, z1)):
+        with pytest.raises(WeightError, match="coordinate arrays"):
+            evaluate(w, *args)
+    with pytest.raises(WeightError, match="coordinate arrays"):
+        evaluate(polynomial([1, 1]), z1, z2)
 
 
 def test_evaluate_rejects_samples():
@@ -262,10 +283,15 @@ def test_parse_space_rejects_stray_fields():
     ("p", math.inf, "finite"),
     ("p", math.nan, "finite"),
     ("p", [2], "number"),
+    ("p", "2", "number"),
+    ("p", True, "number"),
     ("inner_radius", math.nan, "finite"),
+    ("inner_radius", "0.6", "number"),
+    ("order", True, "integer"),
+    ("order", 2.0, "integer"),
 ])
 def test_parse_space_rejects_non_numbers(field, value, message):
-    variant = "annulus_hardy" if field == "inner_radius" else "bergman"
+    variant = {"inner_radius": "annulus_hardy", "order": "sobolev_wna"}.get(field, "bergman")
     doc = {"variant": variant, "p": 2, field: value}
     with pytest.raises(WeightError, match=message):
         parse_space(doc)
@@ -346,6 +372,17 @@ def test_parse_weight_complex_pairs():
         parse_weight({"type": "poly", "coeffs": ["one"]})
     with pytest.raises(WeightError):
         parse_weight({"type": "spline", "coeffs": [1]})
+    with pytest.raises(WeightError, match="list of strings"):
+        parse_weight({"type": "poly", "coeffs": [1], "tags": [["H_inf"]]})
+    with pytest.raises(WeightError, match="must be a list"):
+        parse_weight({"type": "poly", "coeffs": 5})
+    for terms in (5, [{"exp": 1, "coeff": 1}]):
+        with pytest.raises(WeightError, match="polynd term"):
+            parse_weight({"type": "polynd", "dim": 2, "terms": terms})
+    with pytest.raises(WeightError, match="integer dim"):
+        parse_weight({"type": "polynd", "dim": True, "terms": [{"exp": [0], "coeff": 1}]})
+    with pytest.raises(WeightError, match="exponents"):
+        parse_weight({"type": "polynd", "dim": 2, "terms": [{"exp": [True, True], "coeff": 1}]})
 
 
 def test_parsers_take_mappings_only():
@@ -360,5 +397,20 @@ def test_parsers_take_mappings_only():
 def test_parse_rotation_errors():
     with pytest.raises(WeightError):
         parse_rotation({"kind": "rational", "p": 1.5, "q": 3})
+    with pytest.raises(WeightError, match="integer p and q"):
+        parse_rotation({"kind": "rational", "p": True, "q": 3})
+    with pytest.raises(WeightError, match="must be a number"):
+        parse_rotation({"kind": "radians", "value": "1.5", "assumed_nonperiodic": True})
+    with pytest.raises(WeightError, match="finite"):
+        parse_rotation({"kind": "radians", "value": 10 ** 400, "assumed_nonperiodic": True})
+    with pytest.raises(WeightError, match="unknown rotation name"):
+        parse_rotation({"kind": "named", "name": ["golden"]})
+    for flag in ("false", 0, 1, None):
+        with pytest.raises(WeightError, match="assumed_nonperiodic"):
+            parse_rotation({"kind": "radians", "value": 1.5, "assumed_nonperiodic": flag})
+    assert not parse_rotation({"kind": "radians", "value": 1.5}).assumed_nonperiodic
+    with pytest.raises(WeightError, match="integer vectors"):
+        parse_rotation({"kind": "vector", "relations": [[True, -1]], "components": [
+            {"kind": "named", "name": "golden"}, {"kind": "named", "name": "golden"}]})
     with pytest.raises(WeightError):
         parse_rotation({"kind": "vector", "components": [{"kind": "named", "name": "golden"}]})
