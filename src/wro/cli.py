@@ -34,7 +34,6 @@ import numpy as np
 from .analysis import (
     AnalysisError,
     ConvergenceError,
-    find_zeros,
     geometric_mean,
 )
 from .classify import (
@@ -45,6 +44,7 @@ from .classify import (
     SetReport,
     SpectrumReport,
     classify,
+    origin_set,
     point_spectrum_candidates,
     report_consistency,
 )
@@ -72,7 +72,6 @@ from .weights import (
     parse_rotation,
     parse_space,
     parse_weight,
-    weight_at_origin,
 )
 
 
@@ -624,7 +623,7 @@ def _check_smoothing(job):
     return _verdict("smoothing-identity", dev < floor, data)
 
 
-def _check_rank(job):
+def _check_rank(job, report):
     if not _model_ready(job):
         return _skipped("truncation-rank", "no sequence space model")
     if not job.weight.closed_form:
@@ -632,9 +631,10 @@ def _check_rank(job):
     order = job.params["truncation"]
     t = build_truncation(job.space, job.weight, job.rotation, order)
     result = truncation_rank(t)
-    zeros = find_zeros(job.weight)
-    invertible_disc = not zeros.inside and not zeros.boundary
-    origin_zero = weight_at_origin(job.weight) == 0
+    # the truncation is triangular: singular exactly when w(0) = 0
+    sigma = report.sets["sigma"]
+    invertible = sigma.status.kind == "exact" and not sigma.set.contains(origin_set())
+    origin_zero = t.entries[0, 0] == 0
     data = {
         "order": order,
         "rank": result.rank,
@@ -644,7 +644,7 @@ def _check_rank(job):
     }
     if result.indeterminate:
         return _skipped("truncation-rank", "the singular value gap is indeterminate")
-    ok = not (invertible_disc and result.rank != order) and not (origin_zero and result.rank >= order)
+    ok = not (invertible and result.rank != order) and not (origin_zero and result.rank >= order)
     return _verdict("truncation-rank", ok, data)
 
 
@@ -745,7 +745,7 @@ def cmd_verify(args) -> int:
         _check_radius_routes(job),
         _check_diagonal(job),
         _check_smoothing(job),
-        _check_rank(job),
+        _check_rank(job, report),
         _check_gap_trend(job, report),
         _check_residual_decay(job, report),
         _check_norm_ladder(job),

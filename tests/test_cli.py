@@ -153,10 +153,31 @@ def test_ell1_scan_loads_no_scipy(tmp_path):
     assert len(grid.read_text().splitlines()) == 1 + 5 * 4
 
 
+def test_periodic_radius_loads_no_scipy(tmp_path):
+    # the periodic route is a grid and one parabolic step: a p/q radius job
+    # runs without importing scipy, and still reports no route agreement
+    job = _write_job(tmp_path, "pq.json", {
+        "space": {"variant": "bergman", "p": 2},
+        "weight": {"type": "poly", "coeffs": [1, -2.5, 1]},
+        "rotation": {"kind": "rational", "p": 3, "q": 8},
+    })
+    out = tmp_path / "radius.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, wro.cli; rc = wro.cli.main(['radius', '--job', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code, job, str(out)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert res.strip() == "2 []"
+    doc = json.loads(out.read_text())
+    assert doc["agreement"] is False
+    assert doc["routes"]["ergodic"] == 2.0019502704788525
+
+
 def test_import_cli_loads_no_scipy():
-    # scipy is imported only inside the gap routes and the periodic
-    # radius search, so classify, plot and most radius calls never load it;
-    # the scan is a plain loop, so neither an executor nor logging loads
+    # scipy is imported only inside the resolvent gap routes, so classify,
+    # plot and every radius job never load it; the scan is a plain loop,
+    # so neither an executor nor logging loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys, wro.cli; print([m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' or m in ('concurrent.futures', 'logging')])")
@@ -594,6 +615,21 @@ def test_verify_skips_where_no_model_exists(tmp_path):
     assert status["report-consistency"] == "passed"
     assert status["diagonal-candidates"] == "skipped"
     assert status["pseudospectrum-trend"] == "skipped"
+
+
+def test_verify_ambiguous_boundary_zero_runs_every_check(tmp_path):
+    # the zeros of 1 - 1.0000001 z^8 lie about 1.2e-8 off the circle:
+    # classify reports the (unresolved) sandwich, and verify runs all its
+    # checks instead of rejecting the job as an input error
+    job = _bergman_job(tmp_path, coeffs=(1, 0, 0, 0, 0, 0, 0, 0, -1.0000001), params={
+        "truncation": 64, "ladder": [32, 64], "m_ladder": [4, 16],
+    })
+    out = tmp_path / "ledger.json"
+    assert main(["verify", "--job", job, "--out", str(out)]) != 1
+    doc = json.loads(out.read_text())
+    assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert status["truncation-rank"] == "passed"
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,27 @@ def test_ap_membership_parameter_validation():
 
 def test_root_of_unity_radius_closed_form():
     got = group_rotation_radius(polynomial([-2, 1]), root_of_unity(1, 3))
-    assert got == pytest.approx(9.0 ** (1.0 / 3.0), abs=1e-10)
+    assert got == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 5), (3, 8), (5, 7), (1, 12)])
+def test_root_of_unity_radius_two_zeros(p, q):
+    # w = (z - 2)(z + 1.5i): over an orbit of order q, |prod w(alpha^j t)|
+    # = prod_k |t^q - a_k^q|, so the radius is the q-th root of the maximum
+    # of |s - b_1||s - b_2| on |s| = 1, b_k = a_k^q.  On the circle that
+    # product squared is |H(s)|, H(s) = prod (s - b_k)(1 - conj(b_k) s), and
+    # its critical angles are the unimodular roots of s H'(s) - 2 H(s)
+    bs = [complex(a) ** q for a in (2.0, -1.5j)]
+    P = np.polynomial.Polynomial
+    H = P([1.0])
+    for b in bs:
+        H = H * P([-b, 1.0]) * P([1.0, -b.conjugate()])
+    crit = (P([0.0, 1.0]) * H.deriv() - 2 * H).roots()
+    crit = crit[np.abs(np.abs(crit) - 1.0) < 1e-6]
+    best = max(math.prod(abs(s / abs(s) - b) for b in bs) for s in crit)
+    w = polynomial([-3j, -2 + 1.5j, 1])
+    got = group_rotation_radius(w, root_of_unity(p, q))
+    assert got == pytest.approx(best ** (1.0 / q), rel=1e-13)
 
 
 def test_periodic_radius_on_samples_grid():
