@@ -56,8 +56,10 @@ from .oracle import (
     OracleError,
     build_truncation,
     check_smoothing_identity,
+    monomial_norms,
     norm_asymptotics,
     pseudospectrum_scan,
+    residual_horizon,
     residual_window,
     singular_sequence_residual,
     smoothing_floor,
@@ -167,8 +169,8 @@ def _merge_params(doc: dict) -> dict:
             raise WeightError("param %s must be at most %d" % (name, cap))
     if max(out["ladder"]) > MAX_TRUNCATION:
         raise WeightError("param ladder entries must be at most %d" % MAX_TRUNCATION)
-    # the residual check scans orbits of max(2 m + 2, 64) steps for each m
-    horizon = max(2 * max(out["m_ladder"]) + 2, 64)
+    # the residual check scans orbits of residual_horizon(m) steps for each m
+    horizon = residual_horizon(max(out["m_ladder"]))
     if out["grid"] * horizon > MAX_MEMBERSHIP_CELLS:
         raise WeightError(
             "params grid x orbit horizon = %d x %d exceed the budget of %d cells"
@@ -549,15 +551,12 @@ def cmd_plot(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-#: spaces with a sequence space matrix model
-_MODEL_VARIANTS = ("hardy_banach", "bergman", "dirichlet", "ell1a")
-
-
 def _model_ready(job: JobDocument) -> bool:
-    sp = job.space
-    if sp.variant not in _MODEL_VARIANTS:
-        return False
-    if sp.variant in ("bergman", "dirichlet") and sp.p != 2:
+    """The space has a sequence space matrix model and the rotation is
+    one angle."""
+    try:
+        monomial_norms(job.space, 1)
+    except OracleError:
         return False
     return isinstance(job.rotation, RotationAngle)
 

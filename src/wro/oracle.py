@@ -153,12 +153,9 @@ LANCZOS_MAX_STEPS = 300
 LANCZOS_TOL = 1e-13
 #: steps between two Ritz pair checks
 RITZ_EVERY = 4
-#: smallest truncation order at which the banded route beats the dense
-#: one; below it the per step overhead outweighs an O(N^3) that is small
-BANDED_MIN_ORDER = 128
-#: the banded route is taken while the bandwidth is at most N divided by
-#: this; the l^1 solve against the identity competes with a blocked dense
-#: solve and breaks even at a narrower band than the Lanczos
+#: the banded route is taken, at every order, while the bandwidth is at
+#: most N divided by this; the l^1 recurrence competes with a blocked
+#: dense solve and breaks even at a narrower band than the Lanczos
 BANDED_MAX_WIDTH_DIVISOR = {"euclidean": 4, "sum": 16}
 #: relative error the shifted route may add to a gap.  It works on the
 #: Gram matrix G = A A^H, whose computed form and Cholesky factors carry
@@ -173,16 +170,17 @@ GRAM_REL_ERR = 1e-10
 #: moves by at most |lambda - lambda'| between neighbouring points, and a
 #: shift above lambda_min(G) makes the Cholesky factorization fail
 GRAM_SHIFT = 0.98
-#: complex entries of one l^1 batch's row buffer, (d + 1) N per point
-ELL1_BATCH_ENTRIES = 1 << 20
+#: complex entries per batch of a circle's points, (d + 1) N per point:
+#: the row buffer of the l^1 recurrence, and it bounds lambda - diag
+CIRCLE_BATCH_ENTRIES = 1 << 20
 
 
 def _gap_dense(T: TruncationMatrix, lam: complex) -> float:
     """g(lambda) from the dense matrix: the reference route.
 
-    O(N^3) per point.  The scan takes it for small orders and wide
-    bands, where it is the faster route, and when the inverse Lanczos
-    does not converge; the tests compare the banded route against it.
+    O(N^3) per point.  The scan takes it for wide bands, where it is the
+    faster route, and when the inverse Lanczos does not converge; the
+    tests compare the banded routes against it.
     """
     a = lam * np.eye(T.order, dtype=complex) - T.entries
     if T.norm_tag == "euclidean":
@@ -204,12 +202,11 @@ class _BandedShift:
     """lambda I - M for the scan, set up once per truncation.
 
     M is lower triangular with bandwidth d (the degree for polynomial
-    weights, N - 1 for Taylor and rational ones).  When the order is at
-    least BANDED_MIN_ORDER and the band narrow enough (``banded``),
-    lambda I - M is kept in LAPACK lower band storage, so every solve
-    with it is a banded triangular solve costing O(N d) and only the
-    diagonal depends on lambda.  Otherwise every point takes the dense
-    route, which is faster there.
+    weights, N - 1 for Taylor and rational ones).  While the band is
+    narrow enough (``banded``), lambda I - M is kept in LAPACK lower band
+    storage, so every solve with it is a banded triangular solve costing
+    O(N d) and only the diagonal depends on lambda.  Otherwise every
+    point takes the dense route, which is faster there.
     """
 
     def __init__(self, T: TruncationMatrix):
@@ -218,7 +215,7 @@ class _BandedShift:
         # bandwidth: the largest distance of a row's first nonzero entry
         # from the diagonal (a zero row n < d gives n, never more than d)
         d = int(np.max(np.arange(n) - np.argmax(m != 0, axis=1)))
-        self.banded = n >= BANDED_MIN_ORDER and d * BANDED_MAX_WIDTH_DIVISOR[T.norm_tag] <= n
+        self.banded = d * BANDED_MAX_WIDTH_DIVISOR[T.norm_tag] <= n
         self.bands = np.zeros((d + 1 if self.banded else 1, n), dtype=complex)
         for i in range(1, self.bands.shape[0]):
             self.bands[i, : n - i] = -np.diagonal(m, -i)
@@ -236,80 +233,64 @@ class _BandedShift:
         self.start = start / np.linalg.norm(start)
 
     def circle(self, points: np.ndarray) -> np.ndarray:
-        """g(lambda) at the points of one circle, walked in angle order:
-        each point of a Euclidean scan may shift by its predecessor's
-        gap."""
-        if self.banded and self.T.norm_tag == "sum":
-            return self._ell1_circle(points)
-        gaps = np.empty(points.size)
-        prev = 0.0
-        for i, lam in enumerate(points):
-            gaps[i] = prev = self.gap(complex(lam), prev)
-        return gaps
-
-    def gap(self, lam: complex, prev: float) -> float:
-        """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in a Euclidean model
-        norm, or in the l^1 norm on the dense route; ``prev`` is the gap
-        at the previous point of the circle (0 when there is none).
+        """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in the model norm at the
+        points of one circle, walked in angle order: each point of a
+        Euclidean scan may shift by its predecessor's gap.
 
         Inside the spectrum the gap is roundoff; there the floor
         N eps max|A_ij| of A = lambda I - M is reported instead: when a
         diagonal entry is that small, when a solve overflows, or when
-        the measured gap falls below it.
+        the measured gap falls below it.  The banded routes measure
+        A scaled by a power of two (exact) so that max|A_ij| lies in
+        [1/2, 1): an overflow then certifies a gap far below the floor.
         """
-        diag = lam - self.diag
-        size = np.abs(diag)
-        amax = max(self.off_max, float(size.max()))
-        if amax == 0.0:
-            return 0.0
-        floor = self.T.order * np.finfo(float).eps * amax
-        if float(size.min()) <= floor:
-            return floor
-        g = self._gap_banded(diag, amax, floor, prev) if self.banded else None
-        if g is None:
-            g = _gap_dense(self.T, lam)
-        # "not >" also maps a NaN of an overflowed dense solve to the floor
-        return g if g > floor else floor
+        ell1 = self.banded and self.T.norm_tag == "sum"
+        gaps = np.empty(points.size)
+        prev = 0.0
+        step = max(1, CIRCLE_BATCH_ENTRIES // self.bands.size)
+        for lo in range(0, points.size, step):
+            part = points[lo : lo + step]
+            diag = part[:, None] - self.diag
+            size = np.abs(diag)
+            amax = np.maximum(self.off_max, size.max(axis=1))
+            floor = self.T.order * np.finfo(float).eps * amax
+            todo = size.min(axis=1) > floor
+            scale = 2.0 ** -np.frexp(amax)[1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                if ell1:
+                    batch = np.zeros(part.size)
+                    batch[todo] = _ell1_gaps(
+                        self.bands, diag[todo] * scale[todo, None], scale[todo]
+                    ) / scale[todo]
+                for i, lam in enumerate(part):
+                    if not todo[i]:
+                        g = floor[i]
+                    elif ell1:
+                        g = batch[i]
+                    elif not self.banded:
+                        g = _gap_dense(self.T, complex(lam))
+                    else:
+                        g = self._lanczos(diag[i], amax[i], floor[i], scale[i], prev)
+                        if g is None:   # no convergence: the dense route
+                            g = _gap_dense(self.T, complex(lam))
+                    # "not >" also maps an overflow (0 or NaN) to the floor
+                    gaps[lo + i] = prev = g if g > floor[i] else floor[i]
+        return gaps
 
-    def _gap_banded(self, diag: np.ndarray, amax: float, floor: float, prev: float) -> Optional[float]:
-        """The banded Euclidean route; None when the inverse Lanczos does
-        not converge.  Off the spectrum (the previous gap at least tau
-        max|A_ij|) the shifted route is tried first."""
-        # scale by a power of two (exact) so that max|A_ij| lies in
-        # [1/2, 1): an overflow then certifies a gap far below the floor
-        scale = 2.0 ** -math.frexp(amax)[1]
+    def _lanczos(self, diag: np.ndarray, amax: float, floor: float, scale: float,
+                 prev: float) -> Optional[float]:
+        """The banded Euclidean route at one point; None when the inverse
+        Lanczos does not converge.  Off the spectrum (the previous gap
+        ``prev`` at least tau max|A_ij|) the shifted route is tried first."""
         ab = self.bands * scale
         ab[0] = diag * scale
         cut = self.tau * amax * scale
-        g = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            if prev * scale >= cut:
-                g = _shifted_lanczos(ab, self.start, GRAM_SHIFT * (prev * scale) ** 2)
-                if g is not None and not g >= cut:
-                    g = None
-            if g is None:
-                g = _inverse_lanczos(ab, self.start, floor * scale)
+        if prev * scale >= cut:
+            g = _shifted_lanczos(ab, self.start, GRAM_SHIFT * (prev * scale) ** 2)
+            if g is not None and g >= cut:
+                return g / scale
+        g = _inverse_lanczos(ab, self.start, floor * scale)
         return None if g is None else g / scale
-
-    def _ell1_circle(self, points: np.ndarray) -> np.ndarray:
-        """The banded l^1 route for a whole circle, with the floor rules
-        of ``gap`` applied point by point."""
-        diag = points[:, None] - self.diag[None, :]
-        size = np.abs(diag)
-        amax = np.maximum(self.off_max, size.max(axis=1))
-        floor = self.T.order * np.finfo(float).eps * amax
-        gaps = floor.copy()
-        todo = np.flatnonzero(size.min(axis=1) > floor)
-        scale = 2.0 ** -np.frexp(amax[todo])[1]
-        step = max(1, ELL1_BATCH_ENTRIES // self.bands.size)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for lo in range(0, todo.size, step):
-                part = slice(lo, lo + step)
-                g = _ell1_gaps(self.bands, diag[todo[part]] * scale[part, None], scale[part])
-                g /= scale[part]
-                # "not >" maps an overflow (gap 0) to the floor
-                gaps[todo[part]] = np.where(g > floor[todo[part]], g, floor[todo[part]])
-        return gaps
 
 
 def _ell1_gaps(bands: np.ndarray, diag: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -677,6 +658,12 @@ def residual_window(w: Weight, m: int, n: int) -> Optional[int]:
     return order
 
 
+def residual_horizon(m: int) -> int:
+    """Orbit steps the membership scan of ``singular_sequence_residual``
+    covers at half width m."""
+    return max(2 * m + 2, 64)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     residual: float     # ||T G - lambda G|| / ||G|| in the space norm
@@ -718,8 +705,7 @@ def singular_sequence_residual(
     if abs(lam) == 0.0:
         raise OracleError("lambda must be nonzero")
 
-    horizon = max(2 * m + 2, 64)
-    verdict = ap_membership(w, rotation, abs(lam), n_max=horizon, grid=grid)
+    verdict = ap_membership(w, rotation, abs(lam), n_max=residual_horizon(m), grid=grid)
     if not verdict.certified_in:
         raise OracleError(
             "membership scan did not certify |lambda| = %g (verdict %s, margin %.3g)"

@@ -102,9 +102,10 @@ def test_param_caps_admit_defaults_and_boundaries(tmp_path):
         "m_max": cli.MAX_LADDER_M, "grid": 1 << 16, "m_ladder": [4, 16],
     }))
     assert job.params["ladder"] == [64, cli.MAX_TRUNCATION]
-    # the orbit horizon is max(2 max(m_ladder) + 2, 64) = 64 here
+    # the orbit horizon is residual_horizon(max(m_ladder)) = 64 here
+    assert cli.residual_horizon(16) == 64
     assert job.params["grid"] * 64 == cli.MAX_MEMBERSHIP_CELLS
-    default_horizon = max(2 * max(PARAM_DEFAULTS["m_ladder"]) + 2, 64)
+    default_horizon = cli.residual_horizon(max(PARAM_DEFAULTS["m_ladder"]))
     assert PARAM_DEFAULTS["grid"] * default_horizon <= cli.MAX_MEMBERSHIP_CELLS
 
 
@@ -133,24 +134,34 @@ def test_residual_window_at_the_cap_is_admitted(tmp_path):
                               params={"peak_power": cap - 267}, name="over.json"))
 
 
-def test_ell1_scan_loads_no_scipy(tmp_path):
-    # the banded l^1 route is plain numpy: a whole ell1a scan runs
-    # without importing scipy
-    job = _write_job(tmp_path, "ell1a.json", {
+@pytest.mark.parametrize("command, params", [
+    ("scan", {"truncation": 128, "angles": 4}),
+    ("verify", None),
+], ids=["scan", "verify"])
+def test_ell1_scan_loads_no_scipy(tmp_path, command, params):
+    # the banded l^1 route is plain numpy at every order: a whole ell1a
+    # scan, and a verify at the defaults (its gap trend starts at order
+    # 64), run without importing scipy
+    doc = {
         "space": {"variant": "ell1a"},
         "weight": {"type": "poly", "coeffs": [2, 0.5, 0.25]},
         "rotation": {"kind": "named", "name": "golden"},
-        "params": {"truncation": 128, "angles": 4},
-    })
-    grid = tmp_path / "grid.csv"
+    }
+    if params:
+        doc["params"] = params
+    job = _write_job(tmp_path, "ell1a.json", doc)
+    out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys, wro.cli; rc = wro.cli.main(['scan', '--job', sys.argv[1], '--out', sys.argv[2]]); "
+    code = ("import sys, wro.cli; rc = wro.cli.main([sys.argv[1], '--job', sys.argv[2], '--out', sys.argv[3]]); "
             "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, job, str(grid)], env=env,
+    res = subprocess.run([sys.executable, "-c", code, command, job, str(out)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0 []"
-    assert len(grid.read_text().splitlines()) == 1 + 5 * 4
+    assert res.strip() == "0 []"
+    if command == "scan":
+        assert len(out.read_text().splitlines()) == 1 + 5 * 4
+    else:
+        assert json.loads(out.read_text())["passed"] is True
 
 
 def test_periodic_radius_loads_no_scipy(tmp_path):

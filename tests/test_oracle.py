@@ -153,6 +153,8 @@ def test_scan_layout_and_determinism(monkeypatch):
     assert oracle._BandedShift(banded).banded
     shifted = _count_calls(monkeypatch, "_shifted_lanczos")
     one_b = pseudospectrum_scan(banded, [1.0, 2.5, 3.0], n_angles=8)
+    # one point per batch carries the previous gap across batches
+    monkeypatch.setattr(oracle, "CIRCLE_BATCH_ENTRIES", 1)
     two_b = pseudospectrum_scan(banded, [1.0, 2.5, 3.0], n_angles=8)
     assert shifted["accepted"] > 0
     assert np.array_equal(one_b.gaps, two_b.gaps)
@@ -218,28 +220,30 @@ def _no_dense_route(T, lam):
 
 @pytest.mark.parametrize("sp", MODEL_SPACES, ids=lambda sp: sp.variant)
 def test_banded_gap_agrees_with_dense(sp, monkeypatch):
-    full = build_truncation(sp, AGREEMENT_WEIGHTS[-1], GOLDEN, AGREEMENT_ORDER).entries
-    assert np.count_nonzero(full) == AGREEMENT_ORDER * (AGREEMENT_ORDER + 1) // 2
     # the full band would take the dense route, which is faster there
     monkeypatch.setattr(oracle, "BANDED_MAX_WIDTH_DIVISOR", {"euclidean": 1, "sum": 1})
-    for w in AGREEMENT_WEIGHTS:
-        T = build_truncation(sp, w, GOLDEN, AGREEMENT_ORDER)
-        base = {abs(weight_at_origin(w)), geometric_mean(w, 1.0)}
-        radii = sorted({f * r for r in base for f in (0.5, 0.75, 1.0, 1.25, 1.5)})
-        # with the dense route (and with it the non-converged fallback)
-        # disabled, every gap below comes from the banded route
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_gap_dense", _no_dense_route)
-            scan = pseudospectrum_scan(T, radii, n_angles=4)
-        assert np.all(np.isfinite(scan.gaps)) and np.all(scan.gaps >= 0.0)
-        for lam, gap in zip(scan.points, scan.gaps):
-            dense = _gap_dense(T, complex(lam))
-            assert abs(gap - dense) <= _dense_tolerance(T, lam, dense), (sp.variant, w, lam)
+    for order in (1, 2, 3, 8, 32, 48, AGREEMENT_ORDER):
+        full = build_truncation(sp, AGREEMENT_WEIGHTS[-1], GOLDEN, order).entries
+        assert np.count_nonzero(full) == order * (order + 1) // 2
+        for w in AGREEMENT_WEIGHTS:
+            T = build_truncation(sp, w, GOLDEN, order)
+            base = {abs(weight_at_origin(w)), geometric_mean(w, 1.0)}
+            radii = sorted({f * r for r in base for f in (0.5, 0.75, 1.0, 1.25, 1.5)})
+            # with the dense route (and with it the non-converged
+            # fallback) disabled, every gap below comes from the banded
+            # route
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_gap_dense", _no_dense_route)
+                scan = pseudospectrum_scan(T, radii, n_angles=4)
+            assert np.all(np.isfinite(scan.gaps)) and np.all(scan.gaps >= 0.0)
+            for lam, gap in zip(scan.points, scan.gaps):
+                dense = _gap_dense(T, complex(lam))
+                assert abs(gap - dense) <= _dense_tolerance(T, lam, dense), (sp.variant, order, w, lam)
 
 
 def test_scan_route_follows_order_and_bandwidth():
-    # banded from order 128 on while the bandwidth is at most N/4
-    # (Euclidean models) or N/16 (l^1); the dense route otherwise
+    # banded at every order while the bandwidth is at most N/4 (Euclidean
+    # models) or N/16 (l^1); the dense route otherwise
     def banded(sp, w, order):
         return oracle._BandedShift(build_truncation(sp, w, GOLDEN, order)).banded
 
@@ -247,11 +251,15 @@ def test_scan_route_follows_order_and_bandwidth():
         return polynomial([2.0] + [0.5] * d)
 
     ell1a = space("ell1a")
-    assert not banded(BERGMAN, degree(2), 64) and not banded(ell1a, degree(2), 64)
+    for order in (8, 32, 64):
+        assert banded(BERGMAN, degree(2), order) and banded(ell1a, degree(order // 16), order)
     assert banded(BERGMAN, degree(2), 128) and banded(ell1a, degree(2), 128)
     assert banded(BERGMAN, degree(32), 128) and not banded(BERGMAN, degree(33), 128)
     assert banded(ell1a, degree(8), 128) and not banded(ell1a, degree(9), 128)
-    assert not banded(BERGMAN, AGREEMENT_WEIGHTS[-1], AGREEMENT_ORDER)
+    # a full band is dense at every order
+    for order in (2, 8, 32, 64, AGREEMENT_ORDER):
+        for sp in (BERGMAN, ell1a):
+            assert not banded(sp, AGREEMENT_WEIGHTS[-1], order)
 
 
 def _count_calls(monkeypatch, name):
@@ -332,7 +340,7 @@ def test_batched_ell1_gap_agrees_with_dense(degree, monkeypatch):
     monkeypatch.setattr(oracle, "_gap_dense", _no_dense_route)
     scan = pseudospectrum_scan(T, radii, n_angles=5)
     # one point per batch gives the same gaps, bit for bit
-    monkeypatch.setattr(oracle, "ELL1_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(oracle, "CIRCLE_BATCH_ENTRIES", 1)
     assert np.array_equal(pseudospectrum_scan(T, radii, n_angles=5).gaps, scan.gaps)
     monkeypatch.undo()
     for lam, gap in zip(scan.points, scan.gaps):
@@ -381,7 +389,7 @@ def test_gap_deep_inside_where_the_solve_overflows(sp, route, monkeypatch):
         column = solve_triangular(a, np.eye(256)[:, 0], lower=True)
     assert not np.all(np.isfinite(column))
     if route == "dense":
-        monkeypatch.setattr(oracle, "BANDED_MIN_ORDER", 2 * T.order)
+        monkeypatch.setattr(oracle, "BANDED_MAX_WIDTH_DIVISOR", {"euclidean": 2 * T.order, "sum": 2 * T.order})
     assert oracle._BandedShift(T).banded == (route == "banded")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
