@@ -817,13 +817,35 @@ def norm_asymptotics(sp: SpaceSpec, m_max: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
+def _bloch_base_grid(d: np.ndarray, rs: np.ndarray, n: int) -> np.ndarray:
+    """(1 - r^2) |P'(r e^{2 pi i j / n})| for P' = sum d_k z^k, one row per
+    radius r in rs and one column per angle index j = 0 .. n-1.
+
+    The angles are those of an n point DFT, so folding the coefficients
+    modulo n, f_m = sum over k = m (mod n) of d_k r^k, turns each row into
+    one unscaled inverse FFT of f.  The fold adds n coefficients at a time,
+    so the work memory stays a few len(rs) x n arrays at any degree.
+    """
+    folded = np.zeros((rs.size, n), dtype=complex)
+    for s in range(0, d.size, n):
+        blk = d[s : s + n]
+        folded[:, : blk.size] += (rs[:, None] ** np.arange(s, s + blk.size)) * blk
+    return (1.0 - rs[:, None] ** 2) * np.abs(np.fft.ifft(folded, axis=1, norm="forward"))
+
+
 def bloch_norm(coeffs: np.ndarray, base_grid: int = 256, refine: int = 2) -> float:
     """|x(0)| + sup over the disc of (1 - |z|^2) |x'(z)| for a polynomial.
 
-    Polar grid maximization with local refinement around the best cell.
+    Polar grid maximization: a base_grid x base_grid grid of radii and
+    DFT angles, each radius one folded FFT of the derivative, then
+    ``refine`` rounds of 33 x 33 Horner evaluations around the best cell.
     The factor (1 - |z|^2) kills the boundary, so the supremum is
     attained strictly inside and a grid of modest size pins it down.
     """
+    if base_grid < 1:
+        raise OracleError("base_grid must be positive")
+    if refine < 0:
+        raise OracleError("refine must be nonnegative")
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
         return 0.0
@@ -832,23 +854,21 @@ def bloch_norm(coeffs: np.ndarray, base_grid: int = 256, refine: int = 2) -> flo
         return head
     d = np.polynomial.polynomial.polyder(c)
 
-    def sup_on(rs: np.ndarray, thetas: np.ndarray) -> Tuple[float, float, float]:
-        z = rs[:, None] * np.exp(1j * thetas)[None, :]
-        vals = (1.0 - rs[:, None] ** 2) * np.abs(
-            np.polynomial.polynomial.polyval(z, d)
-        )
+    def best_cell(vals, rs, thetas) -> Tuple[float, float, float]:
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return float(vals[i, j]), float(rs[i]), float(thetas[j])
 
     rs = np.linspace(0.0, 1.0, base_grid, endpoint=False)
     thetas = np.linspace(0.0, 2.0 * np.pi, base_grid, endpoint=False)
-    best, r0, t0 = sup_on(rs, thetas)
+    best, r0, t0 = best_cell(_bloch_base_grid(d, rs, base_grid), rs, thetas)
     dr = 1.0 / base_grid
     dt = 2.0 * np.pi / base_grid
     for _ in range(refine):
         rs = np.linspace(max(0.0, r0 - dr), min(1.0, r0 + dr), 33)
         thetas = np.linspace(t0 - dt, t0 + dt, 33)
-        cand, r0, t0 = sup_on(rs, thetas)
+        z = rs[:, None] * np.exp(1j * thetas)[None, :]
+        vals = (1.0 - rs[:, None] ** 2) * np.abs(np.polynomial.polynomial.polyval(z, d))
+        cand, r0, t0 = best_cell(vals, rs, thetas)
         best = max(best, cand)
         dr /= 16.0
         dt /= 16.0

@@ -2,6 +2,7 @@
 and the space norm ladders."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -583,3 +584,77 @@ def test_bloch_norm_refinement_tightens():
     # 3 r^2 (1 - r^2) peaks at r = 1/sqrt(2) with value 3/4
     assert fine >= coarse - 1e-15
     assert fine == pytest.approx(0.75, abs=1e-6)
+
+
+def _direct_base_grid(d, rs, n):
+    """Reference for ``oracle._bloch_base_grid``: Horner at every grid point."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    z = rs[:, None] * np.exp(1j * thetas)[None, :]
+    return (1.0 - rs[:, None] ** 2) * np.abs(np.polynomial.polynomial.polyval(z, d))
+
+
+@pytest.mark.parametrize("n", [1, 16, 256])
+def test_bloch_folded_base_grid_matches_horner(n):
+    rng = np.random.default_rng(n)
+    rs = np.linspace(0.0, 1.0, n, endpoint=False)
+    for length in (n - 1, n, n + 1, 3 * n + 5):
+        if length < 1:
+            continue
+        d = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        ref = _direct_base_grid(d, rs, n)
+        got = oracle._bloch_base_grid(d, rs, n)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_bloch_norm_pinned_values():
+    # floats of the all-Horner grid, which the folded FFT grid reproduces
+    # bit for bit on complex data
+    rng = np.random.default_rng(2022)
+    small = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    decaying = (rng.standard_normal(700) + 1j * rng.standard_normal(700)) / np.arange(1, 701)
+    # the peaked ((z + k)/2)^400 of the residual construction, times
+    # ((1 + z)/2)^200 so that its 601 coefficients span three folds of 256
+    k = np.exp(0.7j)
+    peaked = np.convolve(
+        oracle._poly_pow(np.array([k / 2.0, 0.5]), 400),
+        oracle._poly_pow(np.array([0.5, 0.5]), 200),
+    )
+    assert bloch_norm(small) == 16.201526288571422
+    assert bloch_norm(decaying) == 1.4138767274173318
+    assert bloch_norm(peaked) == 0.0001973837097281359
+
+
+def test_bloch_norm_horner_only_in_refinement(monkeypatch):
+    sizes = []
+    polyval = np.polynomial.polynomial.polyval
+
+    def recorded(x, c, *args, **kwargs):
+        sizes.append(np.size(x))
+        return polyval(x, c, *args, **kwargs)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", recorded)
+    rng = np.random.default_rng(3)
+    bloch_norm(rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+    assert sizes == [33 * 33, 33 * 33]
+
+
+def test_bloch_norm_memory_at_the_largest_window():
+    rng = np.random.default_rng(5)
+    n = oracle.MAX_RESIDUAL_WINDOW
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.arange(1, n + 1) ** 2
+    tracemalloc.start()
+    try:
+        value = bloch_norm(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 16 * 2 ** 20
+
+
+def test_bloch_norm_validation():
+    with pytest.raises(OracleError):
+        bloch_norm(np.array([0.0, 1.0]), base_grid=0)
+    with pytest.raises(OracleError):
+        bloch_norm(np.array([0.0, 1.0]), refine=-1)
