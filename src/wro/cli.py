@@ -98,9 +98,9 @@ PARAM_DEFAULTS = {
 _INT_PARAMS = ("grid", "truncation", "peak_power", "angles", "smoothing_n", "m_max")
 _LIST_PARAMS = ("ladder", "m_ladder", "radius_factors")
 
-#: membership scan budget: grid points times orbit horizon.  Every cell
-#: holds a few complex temporaries and the scan may double the grid; the
-#: defaults use 4096 x 130, about an eighth of it
+#: membership scan budget: grid points times orbit horizon.  The scan
+#: streams the orbit in blocks of a fixed size, so the cap bounds its
+#: time, not its memory; the defaults use 4096 x 130, about an eighth of it
 MAX_MEMBERSHIP_CELLS = 1 << 22
 #: angles per circle in a scan
 MAX_ANGLES = 1 << 14
@@ -647,6 +647,14 @@ def _check_rank(job, report):
     return _verdict("truncation-rank", ok, data)
 
 
+def _gap_floor(t, points) -> float:
+    """Rounding floor N eps max|A_ij| of the gaps of A = lambda I - M at
+    ``points``: a gap is computed to within it, whatever the route."""
+    m = t.entries
+    diag = np.abs(points[:, None] - np.diagonal(m)).max()
+    return t.order * float(np.finfo(float).eps) * float(max(np.abs(np.tril(m, -1)).max(), diag))
+
+
 def _check_gap_trend(job, report):
     if not _model_ready(job):
         return _skipped("pseudospectrum-trend", "no sequence space model")
@@ -663,19 +671,26 @@ def _check_gap_trend(job, report):
     r_off = 1.25 * sig_outer
     on_gaps = []
     off_gaps = []
+    floors = []
     for order in ladder:
         t = build_truncation(job.space, job.weight, job.rotation, order)
         grid = pseudospectrum_scan(t, [r_on, r_off], n_angles=8)
         on_gaps.append(float(np.max(grid.gaps[:8])))
         off_gaps.append(float(np.min(grid.gaps[8:])))
-    # on the predicted circle the gap must keep shrinking with the order;
-    # at 25 percent relative distance outside it must not collapse (stay
-    # at least half its value at the smallest order)
-    shrinking = all(b < a for a, b in zip(on_gaps, on_gaps[1:]))
+        floors.append(_gap_floor(t, grid.points[:8]))
+    # on the predicted circle the gap must shrink with the order: it is
+    # nonincreasing in exact arithmetic, so a step may rise by at most the
+    # rounding floor of its larger order, and the top order's gap must lie
+    # below the first's; at 25 percent relative distance outside it must
+    # not collapse (stay at least half its value at the smallest order)
+    shrinking = on_gaps[-1] < on_gaps[0] and all(
+        b <= a + tol for a, b, tol in zip(on_gaps, on_gaps[1:], floors[1:])
+    )
     stable_off = off_gaps[-1] >= 0.5 * off_gaps[0]
     data = {
         "orders": list(ladder),
         "on_circle_gaps": on_gaps,
+        "tolerance": floors,
         "off_radius": r_off,
         "off_gaps": off_gaps,
     }

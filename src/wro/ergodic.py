@@ -105,17 +105,34 @@ class OrbitProduct:
         return self.forward.size - 1
 
 
-def _orbit_log_sums(w: Weight, alpha: complex, pts: np.ndarray, n_max: int):
-    """Cumulative ln|w| along the orbits of the points ``pts``.
+#: orbit cells (rows x points) held at once by the streamed orbit sums; a
+#: block's few complex temporaries then stay in a core's L2 cache (on a
+#: Xeon with 2 MB of L2 per core, blocks of 2^15 cells ran the default
+#: scan about half as fast)
+_BLOCK_CELLS = 1 << 13
 
-    Row n - 1 of the two (n_max, pts.size) arrays holds ln|w_n(k)|
-    (forward) and ln|w_n(alpha^{-n} k)| (backward) for each point k.
+
+def _orbit_log_blocks(w: Weight, alpha: complex, pts: np.ndarray, n_max: int, backward: bool):
+    """Cumulative ln|w| along the orbits of the points ``pts``, in blocks.
+
+    Yields ``(lo, sums)`` for consecutive row blocks covering n = 1 ..
+    n_max; row i of ``sums`` holds ln|w_n(k)| (forward) or
+    ln|w_n(alpha^{-n} k)| (backward) at n = lo + 1 + i for each point k.
+    Each block holds about _BLOCK_CELLS cells and at least one row; the
+    running sum of the previous block is carried into the first row, so
+    every row equals that of one whole-array cumsum bit for bit.
     """
-    fwd_orbit = (alpha ** np.arange(n_max))[:, None] * pts[None, :]
-    bwd_orbit = (alpha ** (-np.arange(1, n_max + 1)))[:, None] * pts[None, :]
-    fwd = np.cumsum(_log_abs(evaluate(w, fwd_orbit)), axis=0)
-    bwd = np.cumsum(_log_abs(evaluate(w, bwd_orbit)), axis=0)
-    return fwd, bwd
+    rows = max(1, _BLOCK_CELLS // pts.size)
+    carry = None
+    for lo in range(0, n_max, rows):
+        hi = min(lo + rows, n_max)
+        powers = alpha ** (-np.arange(lo + 1, hi + 1) if backward else np.arange(lo, hi))
+        sums = _log_abs(evaluate(w, powers[:, None] * pts[None, :]))
+        if carry is not None:
+            sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1]
+        yield lo, sums
 
 
 def orbit_products(w: Weight, rotation, point: complex, n_max: int) -> OrbitProduct:
@@ -124,10 +141,13 @@ def orbit_products(w: Weight, rotation, point: complex, n_max: int) -> OrbitProd
     if n_max < 1:
         raise AnalysisError("n_max must be positive")
     k = complex(point)
-    fwd, bwd = _orbit_log_sums(w, angle.alpha(), np.array([k]), n_max)
-    forward = np.concatenate([[0.0], fwd[:, 0]])
-    backward = np.concatenate([[0.0], bwd[:, 0]])
-    return OrbitProduct(point=k, forward=forward, backward=backward)
+    alpha = angle.alpha()
+
+    def log_sums(backward):
+        blocks = _orbit_log_blocks(w, alpha, np.array([k]), n_max, backward)
+        return np.concatenate([[0.0]] + [sums[:, 0] for _, sums in blocks])
+
+    return OrbitProduct(point=k, forward=log_sums(False), backward=log_sums(True))
 
 
 # ----------------------------------------------------------------------
@@ -162,13 +182,17 @@ class MembershipVerdict:
 
 
 def _membership_margins(w: Weight, alpha: complex, lam_abs: float, n_max: int, grid: int):
-    """Margin of every grid point, vectorized over the whole grid."""
+    """Margin of every grid point, streamed over the orbit in row blocks."""
     pts = np.exp(2j * np.pi * np.arange(grid) / grid)
-    fwd, bwd = _orbit_log_sums(w, alpha, pts, n_max)
-    lam_n = np.arange(1, n_max + 1)[:, None] * math.log(lam_abs)
-    margin_fwd = (fwd - lam_n).min(axis=0)
-    margin_bwd = (lam_n - bwd).min(axis=0)
-    return pts, np.minimum(margin_fwd, margin_bwd)
+    log_lam = math.log(lam_abs)
+    margins = []
+    for backward in (False, True):
+        acc = np.full(grid, np.inf)
+        for lo, sums in _orbit_log_blocks(w, alpha, pts, n_max, backward):
+            lam_n = np.arange(lo + 1, lo + 1 + sums.shape[0])[:, None] * log_lam
+            np.minimum(acc, ((lam_n - sums) if backward else (sums - lam_n)).min(axis=0), out=acc)
+        margins.append(acc)
+    return pts, np.minimum(*margins)
 
 
 # residual-decay repeats a horizon for several m; arguments and verdict are frozen

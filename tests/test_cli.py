@@ -643,6 +643,62 @@ def test_verify_ambiguous_boundary_zero_runs_every_check(tmp_path):
     assert status["truncation-rank"] == "passed"
 
 
+# two Dirichlet e_frac jobs whose on-circle gaps at orders 64 and 128 agree
+# to one or two ulp (0.012198153801294258 -> ...262): the gap is
+# nonincreasing in the order, and a rise by rounding must not fail it
+DIRICHLET_TIE_COEFFS = (
+    [[-0.1875, 0.375], [0.21875, -0.3125], [-0.125, 0.0625], [0.03125, 0]],
+    [[-0.0703125, -0.2109375], [0.181640625, 0.169921875],
+     [-0.087890625, -0.029296875], [0.01171875, 0]],
+)
+
+
+def _dirichlet_tie_job(tmp_path, coeffs):
+    return _write_job(tmp_path, "dirichlet.json", {
+        "space": {"variant": "dirichlet", "p": 2},
+        "weight": {"type": "poly", "coeffs": coeffs},
+        "rotation": {"kind": "named", "name": "e_frac"},
+    })
+
+
+@pytest.mark.parametrize("coeffs", DIRICHLET_TIE_COEFFS)
+def test_gap_trend_admits_a_rounding_tie(tmp_path, coeffs):
+    out = tmp_path / "ledger.json"
+    assert main(["verify", "--job", _dirichlet_tie_job(tmp_path, coeffs), "--out", str(out)]) == 0
+    trend = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["name"] == "pseudospectrum-trend")
+    assert trend["status"] == "passed"
+    gaps, tol = trend["data"]["on_circle_gaps"], trend["data"]["tolerance"]
+    assert len(tol) == len(gaps) == 3
+    assert 0.0 < gaps[1] - gaps[0] <= tol[1] < 1e-10 * gaps[0]
+
+
+@pytest.mark.parametrize("rise,status", [
+    (None, "passed"),         # the rounding tie as measured
+    (-1e-3, "passed"),        # strictly shrinking
+    (1e-9, "failed"),         # a rise far above the rounding floor
+    (0.0, "failed"),          # flat: the top order must lie below the first
+])
+def test_gap_trend_tie_rule(tmp_path, monkeypatch, rise, status):
+    from wro.oracle import PseudospectrumGrid
+
+    job = load_job(_dirichlet_tie_job(tmp_path, DIRICHLET_TIE_COEFFS[0]))
+    report = cli.classify(job.space, job.weight, job.rotation)
+    g = 0.012198153801294258
+    on = {64: g, 128: 0.012198153801294262, 256: 0.00829}
+    if rise is not None:
+        on = {64: g, 128: g * (1.0 + rise), 256: g if rise == 0.0 else 0.00829}
+
+    def scan(t, radii, n_angles):
+        angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+        gaps = np.concatenate([np.full(n_angles, on[t.order]), np.full(n_angles, 0.067)])
+        return PseudospectrumGrid(np.concatenate([r * angles for r in radii]), gaps,
+                                  tuple(radii), n_angles, t.order)
+
+    monkeypatch.setattr(cli, "pseudospectrum_scan", scan)
+    assert cli._check_gap_trend(job, report)["status"] == status
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from wro import (
     orbit_products,
     polynomial,
     polynomial_radius_cases,
+    rational,
     raw_radians,
     root_of_unity,
     torus_polynomial,
 )
-from wro.ergodic import ordered_parallel_map
+from wro.ergodic import _log_abs, _membership_margins, ordered_parallel_map
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +167,105 @@ def test_ap_membership_parameter_validation():
         ap_membership(w, rot, -1.0)
     with pytest.raises(WeightError):
         ap_membership(w, rot, 1.0, grid=1000)   # not a power of two
+
+
+# ----------------------------------------------------------------------
+# the streamed scan against the whole-array scan it replaced
+# ----------------------------------------------------------------------
+
+
+def _whole_orbit_sums(w, alpha, pts, n_max):
+    """Forward and backward cumulative ln|w| as whole (n_max, pts.size) arrays."""
+    fwd = (alpha ** np.arange(n_max))[:, None] * pts[None, :]
+    bwd = (alpha ** (-np.arange(1, n_max + 1)))[:, None] * pts[None, :]
+    return (np.cumsum(_log_abs(evaluate(w, fwd)), axis=0),
+            np.cumsum(_log_abs(evaluate(w, bwd)), axis=0))
+
+
+def _whole_array_margins(w, alpha, lam_abs, n_max, grid):
+    pts = np.exp(2j * np.pi * np.arange(grid) / grid)
+    fwd, bwd = _whole_orbit_sums(w, alpha, pts, n_max)
+    lam_n = np.arange(1, n_max + 1)[:, None] * math.log(lam_abs)
+    return pts, np.minimum((fwd - lam_n).min(axis=0), (lam_n - bwd).min(axis=0))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_BITWISE_WEIGHTS = [
+    polynomial([-2, 1]),
+    polynomial([1, -2.5, 1]),
+    polynomial([0.3, -1.1, 0.7, 0.2j]),
+    polynomial([0.5, 1.0, -0.25, 0.125, 0.3 - 0.1j]),
+    polynomial([1.2, -0.4j, 0.3, 0.1, -0.2, 0.05]),
+    polynomial([0.9, 0.2, -0.3, 0.4j, 0.1, -0.15, 0.07]),
+    rational([1, -2.5, 1], [4, 1]),
+    polynomial([-1, 1]),    # zero at z = 1, a grid point: the -inf path
+]
+
+
+@pytest.mark.parametrize("w", _BITWISE_WEIGHTS)
+@pytest.mark.parametrize("n_max,grid", [
+    (1, 8192), (7, 256), (7, 2048), (64, 1024), (64, 8192), (130, 512), (130, 4096),
+])
+def test_streamed_margins_equal_whole_array_bitwise(w, n_max, grid):
+    alpha = named_rotation("golden").alpha()
+    g = geometric_mean(w)
+    for lam in (0.5 * g, g, 2.0 * g):
+        pts, got = _membership_margins(w, alpha, lam, n_max, grid)
+        ref_pts, ref = _whole_array_margins(w, alpha, lam, n_max, grid)
+        assert _same_bits(pts, ref_pts)
+        assert _same_bits(got, ref)
+
+
+def test_streamed_margins_keep_the_exact_zero():
+    alpha = named_rotation("golden").alpha()
+    _, got = _membership_margins(polynomial([-1, 1]), alpha, 1.0, 7, 256)
+    assert got[0] == -math.inf and np.isfinite(got[1:]).all()
+
+
+@pytest.mark.parametrize("lam,verdict", [(2.0, "certified_in"), (1.5, "certified_out")])
+@pytest.mark.parametrize("n_max,grid", [(64, 2048), (130, 4096)])
+def test_ap_membership_reads_the_whole_array_margins(lam, verdict, n_max, grid):
+    # certified_out rescans the doubled grid; both margins are the reference's
+    w = polynomial([1, -2.5, 1])
+    rot = named_rotation("golden")
+    v = ap_membership.__wrapped__(w, rot, lam, n_max=n_max, grid=grid)
+    assert v.verdict == verdict
+    pts, ref = _whole_array_margins(w, rot.alpha(), lam, n_max, v.grid)
+    j = int(np.argmax(ref))
+    assert v.grid == (grid if v.certified_in else 2 * grid)
+    assert v.margin == float(ref[j])
+    assert v.witness == (complex(pts[j]) if v.certified_in else None)
+
+
+@pytest.mark.parametrize("w,point,n_max", [
+    (polynomial([-2, 1]), 1.0 + 0j, 10),
+    (polynomial([-1, 1]), 1.0 + 0j, 3),
+    (polynomial([0.3, -1.1, 0.7]), complex(np.exp(0.7j)), 40000),   # beyond one block
+])
+def test_orbit_products_equal_whole_array_bitwise(w, point, n_max):
+    rot = named_rotation("golden")
+    op = orbit_products(w, rot, point, n_max)
+    fwd, bwd = _whole_orbit_sums(w, rot.alpha(), np.array([complex(point)]), n_max)
+    assert _same_bits(op.forward, np.concatenate([[0.0], fwd[:, 0]]))
+    assert _same_bits(op.backward, np.concatenate([[0.0], bwd[:, 0]]))
+
+
+@pytest.mark.parametrize("n_max,grid,bound_mb", [(130, 4096, 8), (128, 1 << 15, 64)])
+def test_membership_scan_memory_does_not_grow_with_the_orbit(n_max, grid, bound_mb):
+    # certified_out, so the scan also runs on the doubled grid; the whole
+    # (horizon, grid) arrays peaked at 47 MB and 740 MB here
+    w = polynomial([1, -2.5, 1])
+    tracemalloc.start()
+    try:
+        v = ap_membership.__wrapped__(w, named_rotation("golden"), 1.5, n_max=n_max, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.verdict == "certified_out" and v.grid == 2 * grid
+    assert peak < bound_mb * 2 ** 20
 
 
 # ----------------------------------------------------------------------
