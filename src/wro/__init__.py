@@ -11,8 +11,8 @@ numerical cross checks, and the ``wro`` console script exposes both.
 from .analysis import (
     AnalysisError,
     ConvergenceError,
-    FactorizationSummary,
     InvertibilityProfile,
+    WeightFacts,
     ZeroSet,
     factorization_summary,
     find_zeros,

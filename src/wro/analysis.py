@@ -1,17 +1,23 @@
 """One variable function analysis: zeros, means, invertibility.
 
 Everything the classifier needs to know about a weight w on the closed
-unit disc reduces to three questions:
+unit disc reduces to a few facts, which ``factorization_summary``
+gathers into one ``WeightFacts`` record:
 
-* where are the zeros of w (inside the disc, on the circle, outside),
-* what is the geometric boundary mean g = exp((1/2pi) int ln|w(e^it)| dt),
-* in which algebras is w invertible.
+* the geometric boundary mean g = exp((1/2pi) int ln|w(e^it)| dt),
+* the number of zeros inside the disc, with multiplicity, when certified,
+* whether w vanishes on the unit circle ("yes", "no", or "unknown" when
+  it may),
+* for sampled weights the sampled sup, and for series the l1 bound.
 
-For Polynomial and Rational representations all three are answered
-exactly through root finding and the Jensen product formula.  Taylor
-representations can still certify boundary invertibility (grid minimum
-minus the declared tail bound) and then count interior zeros through the
-argument principle; BoundarySamples weights mostly answer "unknown".
+For Polynomial and Rational representations the zeros are located
+exactly through root finding and g follows from the Jensen product
+formula.  Taylor representations can still certify boundary
+invertibility and then count interior zeros through the argument
+principle: the certificate is the grid minimum of the partial sum p,
+minus the declared tail bound, minus (pi/M) sum k |c_k| (a bound on
+|p'| times half the step of the M point grid).  BoundarySamples weights
+mostly answer "unknown".  ``invertibility_profile`` reads the record.
 
 The analysis is one variable: a torus polynomial in a single variable is
 collapsed first (``TorusPolynomial.axis_polynomial``), and the zero,
@@ -66,6 +72,9 @@ TOL_INV = 1e-8
 QUAD_TOL = 1e-10
 
 _QUAD_GRID_MAX = 1 << 20
+
+#: finest grid the series boundary certificate refines to
+_CERT_GRID_MAX = 1 << 16
 
 YES, NO, UNKNOWN = "yes", "no", "unknown"
 
@@ -193,6 +202,31 @@ def _winding_count(vals: np.ndarray) -> int:
     return count
 
 
+def _series_winding(w: Weight):
+    """(count, grid minimum, grid step term) of a Taylor weight w = p + t.
+
+    Within pi/M of a grid point z_j, |p| >= |p(z_j)| - (pi/M) sum k |c_k|
+    and |t| <= tail_bound, so a positive ``lo - tail_bound - step`` keeps
+    w zero free on the circle and each step of the sampled loop turns by
+    less than pi: the winding number is then the certified count.  The
+    grid doubles up to _CERT_GRID_MAX while the minimum alone still
+    clears the tail (a finer grid only lowers it); count None: refused."""
+    rep = w.rep
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite slope certifies nothing
+        slope = float(np.sum(np.arange(len(rep.coeffs)) * np.abs(np.asarray(rep.coeffs))))
+    grid = 4096
+    while True:
+        vals = boundary_values(w, grid)
+        lo = float(np.min(np.abs(vals)))
+        step = math.pi / grid * slope
+        # "not >": a NaN grid minimum certifies nothing
+        if lo - rep.tail_bound - step > TOL_INV:
+            return _winding_count(vals), lo, step
+        if not (lo - rep.tail_bound > TOL_INV) or grid >= _CERT_GRID_MAX:
+            return None, lo, step
+        grid *= 2
+
+
 def find_zeros(w: Weight) -> ZeroSet:
     """Locate the zeros of w in the closed unit disc.
 
@@ -206,15 +240,13 @@ def find_zeros(w: Weight) -> ZeroSet:
         inside, boundary = _split_circle(_zero_clusters(_rep_fractions(w)[0]))
         return ZeroSet(inside, boundary, total_inside=sum(m for _, m in inside))
     if isinstance(rep, Taylor):
-        vals = boundary_values(w, 4096)
-        lo = float(np.min(np.abs(vals)))
-        # "not >": a NaN grid minimum certifies nothing
-        if not (lo - rep.tail_bound > TOL_INV):
+        count, lo, step = _series_winding(w)
+        if count is None:
             raise AnalysisError(
-                "boundary invertibility not certified (grid minimum %.3g, "
-                "tail bound %.3g); zero count unavailable" % (lo, rep.tail_bound)
+                "boundary invertibility not certified (grid minimum %.3g, tail bound "
+                "%.3g, grid step term %.3g); zero count unavailable" % (lo, rep.tail_bound, step)
             )
-        return ZeroSet(count_only=True, total_inside=_winding_count(vals), certified=True)
+        return ZeroSet(count_only=True, total_inside=count, certified=True)
     if isinstance(rep, BoundarySamples):
         vals = np.asarray(rep.values, dtype=complex)
         if float(np.min(np.abs(vals))) <= TOL_INV:
@@ -303,6 +335,68 @@ def geometric_mean(w: Weight, r: float = 1.0, method: str = "auto") -> float:
 
 
 @dataclass(frozen=True)
+class WeightFacts:
+    """What the data certify about a one variable weight w: all that the
+    classifier's disc families read of its zeros and means.
+
+    ``on_circle`` is "yes" when w vanishes on the circle, "no" when it
+    certifiably does not, and "unknown" when it may (a zero in the
+    ambiguous band, an uncertified series, samples that do not touch
+    zero).  Optional fields are None when the data cannot decide them or
+    the representation lacks them.
+    """
+
+    g: Optional[float]  # boundary geometric mean; None when a sample touches zero
+    on_circle: str
+    zero_count_inside: Optional[int]  # with multiplicity
+    count_only: bool  # zero locations unknown (series and sampled weights)
+    sample_sup: Optional[float] = None  # max |w| over the samples
+    ell1_bound: Optional[float] = None  # sum |c_k| plus the tail bound of a series
+    blaschke_finite: Optional[bool] = None
+    singular_part_present: Optional[bool] = None
+
+
+def factorization_summary(w: Weight) -> WeightFacts:
+    """The facts record of w; g is ``geometric_mean(w, 1.0)``, so it is
+    the modulus of the outer factor at the origin."""
+    rep = w.rep
+    if isinstance(rep, BoundarySamples):
+        vals = np.abs(np.asarray(rep.values, dtype=complex))
+        # a sample is an exact value, so the function genuinely hits zero
+        touches = float(vals.min()) < TOL_ZERO
+        return WeightFacts(
+            g=None if touches else geometric_mean(w, 1.0),
+            on_circle=YES if touches else UNKNOWN,
+            zero_count_inside=None,
+            count_only=True,
+            sample_sup=float(vals.max()),
+        )
+    if not isinstance(rep, (Polynomial, Rational, Taylor)):
+        raise AnalysisError("factorization is one variable only")
+    series = isinstance(rep, Taylor)
+    try:
+        zs = find_zeros(w)
+    except AnalysisError:  # a zero in the ambiguous band, or an uncertified series
+        zs = None
+    # closed forms are rational; a certified series is continuous on the
+    # closed disc (summable coefficients) and zero free on the circle, so
+    # it has finitely many zeros and no singular inner factor (a singular
+    # factor forces radial limits of modulus zero somewhere on the circle)
+    decided = zs is not None or not series
+    g = geometric_mean(w, 1.0)  # before the l1 sum, which can overflow
+    l1 = float(np.sum(np.abs(np.asarray(rep.coeffs)))) + rep.tail_bound if series else None
+    return WeightFacts(
+        g=g,
+        on_circle=UNKNOWN if zs is None else (YES if zs.boundary else NO),
+        zero_count_inside=None if zs is None else zs.total_inside,
+        count_only=series,
+        ell1_bound=l1,
+        blaschke_finite=True if decided else None,
+        singular_part_present=False if decided else None,
+    )
+
+
+@dataclass(frozen=True)
 class InvertibilityProfile:
     """Tri-state invertibility of w in the algebras the classifier cares
     about.
@@ -320,82 +414,12 @@ class InvertibilityProfile:
 
 
 def invertibility_profile(w: Weight) -> InvertibilityProfile:
-    rep = w.rep
-    if isinstance(rep, BoundarySamples):
-        vals = np.abs(np.asarray(rep.values, dtype=complex))
-        if float(vals.min()) < TOL_ZERO:
-            # a sample is an exact value, so the function genuinely hits
-            # zero on the circle; essential invertibility stays unknown
-            # because a single point carries no measure
-            return InvertibilityProfile(NO, NO, NO, UNKNOWN)
-        return InvertibilityProfile(UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
-    try:
-        zs = find_zeros(w)
-    except AnalysisError:
-        if not isinstance(rep, Taylor):
-            raise
-        # boundary invertibility of the series is not certified
-        return InvertibilityProfile(UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN)
+    facts = factorization_summary(w)
+    boundary = {YES: NO, NO: YES}.get(facts.on_circle, UNKNOWN)
     # poles sit outside the closed disc and certified series are summable,
     # so invertibility in the series algebra is exactly zero freeness of
-    # the closed disc
-    boundary = NO if zs.boundary else YES
-    analytic = NO if (zs.total_inside or zs.boundary) else YES
-    return InvertibilityProfile(analytic, boundary, analytic, boundary)
-
-
-@dataclass(frozen=True)
-class FactorizationSummary:
-    """Inner/outer structure of w as far as it can be certified.
-
-    ``outer_value_mod`` is the geometric boundary mean g, which equals
-    the modulus of the outer factor at the origin.  ``blaschke_finite``
-    and ``singular_part_present`` are None when the data cannot decide.
-    """
-
-    zeros_inside: tuple
-    zeros_boundary: tuple
-    zero_count_inside: Optional[int]
-    count_only: bool
-    blaschke_finite: Optional[bool]
-    outer_value_mod: float
-    singular_part_present: Optional[bool]
-
-
-def factorization_summary(w: Weight) -> FactorizationSummary:
-    rep = w.rep
-    if isinstance(rep, (Polynomial, Rational)):
-        zs = find_zeros(w)
-        return FactorizationSummary(
-            zeros_inside=zs.inside,
-            zeros_boundary=zs.boundary,
-            zero_count_inside=zs.total_inside,
-            count_only=False,
-            blaschke_finite=True,
-            outer_value_mod=geometric_mean(w, 1.0),
-            singular_part_present=False,
-        )
-    if not isinstance(rep, (Taylor, BoundarySamples)):
-        raise AnalysisError("factorization is one variable only")
-    count = None
-    if isinstance(rep, Taylor):
-        try:
-            count = find_zeros(w).total_inside
-        except AnalysisError:
-            pass
-    # a count means certified boundary invertibility: w is continuous on
-    # the closed disc (summable coefficients) and zero free on the circle,
-    # so it has finitely many zeros and no singular inner factor (a
-    # singular factor forces radial limits of modulus zero somewhere on the
-    # circle, contradicting |w| > 0 there).  Without one (an uncertified
-    # series, sampled data) neither is decided
-    certified = count is not None
-    return FactorizationSummary(
-        zeros_inside=(),
-        zeros_boundary=(),
-        zero_count_inside=count,
-        count_only=True,
-        blaschke_finite=True if certified else None,
-        outer_value_mod=geometric_mean(w, 1.0),
-        singular_part_present=False if certified else None,
-    )
+    # the closed disc; a zero free circle comes with a certified count
+    analytic = NO if (boundary == NO or facts.zero_count_inside) else boundary
+    # a zero sample is a single point, which carries no measure
+    hinf = UNKNOWN if facts.sample_sup is not None else boundary
+    return InvertibilityProfile(analytic, boundary, analytic, hinf)

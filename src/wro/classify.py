@@ -49,21 +49,17 @@ import numpy as np
 from . import ergodic
 from .analysis import (
     CLUSTER_TOL,
-    AmbiguousZeroError,
+    UNKNOWN,
+    YES,
     _rep_fractions,
     _zero_clusters,
     factorization_summary,
     geometric_mean,
 )
 from .weights import (
-    BoundarySamples,
-    Polynomial,
-    Rational,
     RotationVector,
     SpaceSpec,
-    Taylor,
     TorusPolynomial,
-    TOL_ZERO,
     Weight,
     rotation_payload,
     space_payload,
@@ -438,6 +434,10 @@ def _all_exact(citation: str, s: CircularSet) -> Dict[str, SetReport]:
     }
 
 
+def _all_unknown(citation: str) -> Dict[str, SetReport]:
+    return {key: SetReport(empty_set(), UNKNOWN_STATUS, citation) for key in REPORT_KEYS}
+
+
 def _residual_disc(citation: str, g: float) -> Dict[str, SetReport]:
     """Branch (2): circle of invertibility outside, residual disc inside."""
     ap = circle(g)
@@ -479,30 +479,9 @@ def _finish(
     return report
 
 
-# ----------------------------------------------------------------------
-# closed form weights
-# ----------------------------------------------------------------------
-
-
-def _closed_form(rule: str, w: Weight, extra_rules, inside, on_circle) -> SpectrumReport:
-    """Report of a polynomial or rational weight, by where its zeros sit.
-
-    Two branches read the same in every family: (unresolved), a zero too
-    near the circle to place, gets the sandwich at the boundary mean, and
-    (1), no zero in the closed disc, makes every set the circle
-    |lambda| = |w(0)|.  The family finishes the rest from the boundary
-    mean g: ``inside(g, m)`` for m zeros inside the disc and none on the
-    circle, ``on_circle(g)`` for a zero on the circle.
-    """
-    try:
-        fact = factorization_summary(w)
-    except AmbiguousZeroError:
-        sets = _sandwich("%s(unresolved)" % rule, geometric_mean(w, 1.0))
-        return _finish(sets, extra_rules=extra_rules)
-    if fact.zeros_boundary:
-        return on_circle(fact.outer_value_mod)
-    if fact.zero_count_inside:
-        return inside(fact.outer_value_mod, fact.zero_count_inside)
+def _zero_free(rule: str, w: Weight, extra_rules=()) -> SpectrumReport:
+    """Branch (1), no zero in the closed disc: every set is the circle
+    |lambda| = |w(0)|."""
     r0 = abs(weight_at_origin(w))
     return _finish(_all_exact("%s(1)" % rule, circle(r0)), extra_rules=extra_rules)
 
@@ -514,86 +493,71 @@ def _closed_form(rule: str, w: Weight, extra_rules, inside, on_circle) -> Spectr
 
 def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumReport:
     rule = _TRICHOTOMY_RULE[sp.variant]
-    rep = w.rep
-    if isinstance(rep, (Polynomial, Rational)):
-
-        def inside(g, m):
-            entry = IndexEntry(Component("open_disc", r=float(g)), index=-m)
-            more = tuple(extra_rules) + ("blaschke-zero-index",)
-            return _finish(_residual_disc("%s(2)" % rule, g), index_map=(entry,), extra_rules=more)
-
-        def on_circle(g):
-            return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
-
-        return _closed_form(rule, w, extra_rules, inside, on_circle)
-
-    if isinstance(rep, Taylor):
-        # a known zero count means boundary invertibility is certified
-        fact = factorization_summary(w)
-        g = fact.outer_value_mod
-        if fact.zero_count_inside is not None:
-            cite = "%s(boundary-certified)" % rule
-            sets = _sandwich(cite, g)
-            ap = circle(g)
-            for key in ("sigma_ap", "sigma_1", "sigma_2"):
-                sets[key] = SetReport(ap, EXACT, cite)
-            return _finish(sets, extra_rules=extra_rules)
-        return _finish(_sandwich("%s(unresolved)" % rule, g), extra_rules=extra_rules)
-
-    if isinstance(rep, BoundarySamples):
-        vals = np.abs(np.asarray(rep.values, dtype=complex))
-        cite = "%s(unresolved)" % rule
-        if float(vals.min()) < TOL_ZERO:
-            # the weight certifiably hits zero on the circle but the
-            # boundary mean cannot be computed from the samples
-            sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
-            return _finish(sets, extra_rules=extra_rules)
-        g = geometric_mean(w, 1.0)
-        if sp.variant in _SUPNORM_FAMILY:
+    facts = factorization_summary(w)
+    g = facts.g
+    unresolved = "%s(unresolved)" % rule
+    if g is None:
+        # a sample hits zero on the circle, so the boundary mean cannot be
+        # computed from the samples
+        return _finish(_all_unknown(unresolved), extra_rules=extra_rules)
+    if facts.on_circle == UNKNOWN:
+        if facts.sample_sup is not None and sp.variant in _SUPNORM_FAMILY:
             # essential boundary behavior between the samples is unknown;
             # only the full spectrum gets a two sided estimate, anchored
             # at the sampled mean and the sampled sup
-            hi = closed_disc(float(vals.max()))
-            sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
-            sets["sigma"] = SetReport(hi, bounds(circle(g), hi), cite)
+            hi = closed_disc(facts.sample_sup)
+            sets = _all_unknown(unresolved)
+            sets["sigma"] = SetReport(hi, bounds(circle(g), hi), unresolved)
             return _finish(sets, extra_rules=extra_rules)
-        return _finish(_sandwich(cite, g), extra_rules=extra_rules)
-
-    raise ClassifyError("unsupported weight representation for space %r" % sp.variant)
+        return _finish(_sandwich(unresolved, g), extra_rules=extra_rules)
+    if facts.count_only:
+        # a series with certified boundary invertibility: the circle
+        # |lambda| = g is sigma_ap, sigma_1 and sigma_2; the rest keeps the sandwich
+        cite = "%s(boundary-certified)" % rule
+        sets = _sandwich(cite, g)
+        for key in ("sigma_ap", "sigma_1", "sigma_2"):
+            sets[key] = SetReport(circle(g), EXACT, cite)
+        return _finish(sets, extra_rules=extra_rules)
+    if facts.on_circle == YES:
+        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
+    if facts.zero_count_inside:
+        entry = IndexEntry(Component("open_disc", r=float(g)), index=-facts.zero_count_inside)
+        more = tuple(extra_rules) + ("blaschke-zero-index",)
+        return _finish(_residual_disc("%s(2)" % rule, g), index_map=(entry,), extra_rules=more)
+    return _zero_free(rule, w, extra_rules)
 
 
 def _classify_ell1a(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     rule = "wiener-series-circle"
-    rep = w.rep
-    if isinstance(rep, (Polynomial, Rational)):
+    facts = factorization_summary(w)
+    if facts.sample_sup is not None:
+        raise ClassifyError("series space classification needs coefficient data")
+    g = facts.g
+    if facts.ell1_bound is not None:
+        # a series known through its leading coefficients and a tail bound
+        if w.has_tag("Lambda_class"):
+            return _finish(_sandwich("%s(unresolved)" % rule, g))
+        cite = "%s(beyond-lipschitz)" % rule
+        sets = _all_unknown(cite)
+        hi = closed_disc(max(facts.ell1_bound, g))
+        sets["sigma"] = SetReport(hi, bounds(circle(g), hi), cite)
+        return _finish(sets, open_flags=(FLAG_BEYOND_LIPSCHITZ,))
+    if facts.on_circle == UNKNOWN:
+        return _finish(_sandwich("%s(unresolved)" % rule, g))
+    if facts.on_circle == YES or facts.zero_count_inside:
         # not invertible in the series algebra: the full spectrum is the
         # closed disc of the boundary mean, but whether the circle
         # |lambda| = g exhausts the approximate point spectrum is open
-        def not_invertible(g):
-            cite = "%s(2)" % rule
-            sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
-            sets["sigma"] = SetReport(closed_disc(g), EXACT, cite)
-            return _finish(sets, open_flags=(FLAG_AP_BOUNDARY,))
-
-        return _closed_form(rule, w, (), lambda g, m: not_invertible(g), not_invertible)
-
-    if isinstance(rep, Taylor):
-        g = geometric_mean(w, 1.0)
-        if w.has_tag("Lambda_class"):
-            return _finish(_sandwich("%s(unresolved)" % rule, g))
-        l1 = float(np.sum(np.abs(np.asarray(rep.coeffs)))) + rep.tail_bound
-        cite = "%s(beyond-lipschitz)" % rule
-        sets = {k: SetReport(empty_set(), UNKNOWN_STATUS, cite) for k in REPORT_KEYS}
-        hi = closed_disc(max(l1, g))
-        sets["sigma"] = SetReport(hi, bounds(circle(g), hi), cite)
-        return _finish(sets, open_flags=(FLAG_BEYOND_LIPSCHITZ,))
-
-    raise ClassifyError("series space classification needs coefficient data")
+        cite = "%s(2)" % rule
+        sets = _all_unknown(cite)
+        sets["sigma"] = SetReport(closed_disc(g), EXACT, cite)
+        return _finish(sets, open_flags=(FLAG_AP_BOUNDARY,))
+    return _zero_free(rule, w)
 
 
 def _classify_annulus(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     rule = "annulus-boundary-circles"
-    if not isinstance(w.rep, (Polynomial, Rational)):
+    if not w.closed_form:
         raise ClassifyError(
             "annulus classification needs a representation evaluable on both boundary circles"
         )
@@ -641,13 +605,17 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         if wa is None:
             g = math.exp(ergodic._torus_log_mean(w))
             return _finish(_sandwich("%s(unresolved)" % rule, g))
-    elif isinstance(rep, (Polynomial, Rational)):
-        # a one variable weight read as w(z_1, ..., z_n) = w(z_1)
-        wa = w
-    else:
+        w = wa
+    elif not w.closed_form:
         raise ClassifyError("polydisc classification needs a polynomial weight")
-
-    def inside(g, m):
+    # a one variable weight, read as w(z_1, ..., z_n) = w(z_1)
+    facts = factorization_summary(w)
+    g = facts.g
+    if facts.on_circle == UNKNOWN:
+        return _finish(_sandwich("%s(unresolved)" % rule, g))
+    if facts.on_circle == YES:
+        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
+    if facts.zero_count_inside:
         cite = "%s(2)" % rule
         sets = _residual_disc(cite, g)
         # on the polydisc the backward shift chain below a zero of the
@@ -656,11 +624,7 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
         sets["sigma_3"] = SetReport(closed_disc(g), EXACT, cite)
         entry = IndexEntry(Component("open_disc", r=float(g)), minus_infinity=True)
         return _finish(sets, index_map=(entry,))
-
-    def on_circle(g):
-        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
-
-    return _closed_form(rule, wa, (), inside, on_circle)
+    return _zero_free(rule, w)
 
 
 # ----------------------------------------------------------------------

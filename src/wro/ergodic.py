@@ -181,13 +181,16 @@ class MembershipVerdict:
         return self.verdict == "certified_in"
 
 
-def _membership_margins(w: Weight, alpha: complex, lam_abs: float, n_max: int, grid: int):
-    """Margin of every grid point, streamed over the orbit in row blocks."""
-    pts = np.exp(2j * np.pi * np.arange(grid) / grid)
+def _membership_margins(w: Weight, alpha: complex, lam_abs: float, n_max: int, grid: int,
+                        odd: bool = False):
+    """Margin of every grid point (of every odd one when ``odd``), streamed
+    over the orbit in row blocks."""
+    idx = np.arange(1, grid, 2) if odd else np.arange(grid)
+    pts = np.exp(2j * np.pi * idx / grid)
     log_lam = math.log(lam_abs)
     margins = []
     for backward in (False, True):
-        acc = np.full(grid, np.inf)
+        acc = np.full(pts.size, np.inf)
         for lo, sums in _orbit_log_blocks(w, alpha, pts, n_max, backward):
             lam_n = np.arange(lo + 1, lo + 1 + sums.shape[0])[:, None] * log_lam
             np.minimum(acc, ((lam_n - sums) if backward else (sums - lam_n)).min(axis=0), out=acc)
@@ -230,7 +233,12 @@ def ap_membership(
     if best >= -tol:
         return MembershipVerdict("certified_in", complex(pts[j]), best, grid, n_max, tol)
 
-    pts2, margins2 = _membership_margins(w, alpha, lam_abs, n_max, 2 * grid)
+    # the doubled grid's even points are bit for bit the grid just scanned
+    # (2 pi i (2j)/(2g) rounds as 2 pi i j/g), and a point's margin does not
+    # depend on the grid around it: scan the odd points and interleave
+    odd_pts, odd_margins = _membership_margins(w, alpha, lam_abs, n_max, 2 * grid, odd=True)
+    pts2 = np.stack([pts, odd_pts], axis=1).ravel()
+    margins2 = np.stack([margins, odd_margins], axis=1).ravel()
     j2 = int(np.argmax(margins2))
     best2 = float(margins2[j2])
     if best2 >= -tol:

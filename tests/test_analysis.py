@@ -96,6 +96,16 @@ def test_find_zeros_taylor_certified_count():
         find_zeros(taylor([-0.5, 1], 0.75, tags=["disc_algebra"]))
 
 
+def test_taylor_certificate_counts_the_grid_step():
+    # the only zero lies on the circle half way between two points of the
+    # 4096 point grid; the grid minimum 3.8e-4 alone would certify it
+    with pytest.raises(AnalysisError, match="grid step term"):
+        find_zeros(taylor([-np.exp(1j * np.pi / 4096), 1], 1e-9))
+    # 2e-4 inside the circle at that angle: certified on the 16384 point grid
+    zs = find_zeros(taylor([-(1 - 2e-4) * np.exp(1j * np.pi / 4096), 1], 0.0))
+    assert zs.certified and zs.total_inside == 1
+
+
 # ----------------------------------------------------------------------
 # geometric means
 # ----------------------------------------------------------------------
@@ -216,7 +226,7 @@ def test_factorization_summary_closed_form():
     assert fact.zero_count_inside == 1
     assert fact.blaschke_finite is True
     assert fact.singular_part_present is False
-    assert fact.outer_value_mod == pytest.approx(2.0, rel=1e-12)
+    assert fact.g == pytest.approx(2.0, rel=1e-12)
 
 
 def test_factorization_summary_taylor_count_only():
@@ -243,3 +253,24 @@ def test_factorization_summary_degrades_for_samples():
     fact = factorization_summary(boundary_sample_weight([2.0] * 64))
     assert fact.zero_count_inside is None
     assert fact.blaschke_finite is None
+
+
+@pytest.mark.parametrize("w,on_circle,count,count_only,g,sup,l1", [
+    (polynomial([1, -2.5, 1]), NO, 1, False, 2.0, None, None),
+    (polynomial([-1, 1]), YES, 0, False, 1.0, None, None),
+    (polynomial([-(1 + 1e-8), 1]), UNKNOWN, None, False, 1.0 + 1e-8, None, None),   # ambiguous band
+    (taylor([-0.5, 1], 1e-9), NO, 1, True, 1.0, None, 1.5 + 1e-9),
+    (taylor([-0.5, 1], 0.75), UNKNOWN, None, True, 1.0, None, 2.25),
+    (boundary_sample_weight([2.0] * 64), UNKNOWN, None, True, 2.0, 2.0, None),
+    (boundary_sample_weight([1.0] * 63 + [0.0]), YES, None, True, None, 1.0, None),
+], ids=["inside", "on-circle", "band", "series", "series-uncertified", "samples", "samples-zero"])
+def test_weight_facts(w, on_circle, count, count_only, g, sup, l1):
+    facts = factorization_summary(w)
+    assert facts.on_circle == on_circle
+    assert (facts.zero_count_inside, facts.count_only) == (count, count_only)
+    assert facts.g == (None if g is None else pytest.approx(g, rel=1e-12))
+    assert (facts.sample_sup, facts.ell1_bound) == (sup, l1)
+    # the profile reads the facts: a zero in the band leaves every algebra open
+    if on_circle == UNKNOWN:
+        p = invertibility_profile(w)
+        assert (p.analytic, p.boundary, p.ell1, p.hinf_boundary) == (UNKNOWN,) * 4

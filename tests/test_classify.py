@@ -412,6 +412,63 @@ def test_closed_form_branch_table(variant, zero):
     assert rep.open_flags == flags
 
 
+_SAMPLES = [2.0 + 0.5 * math.cos(2 * math.pi * j / 64) for j in range(64)]   # sup 2.5
+
+#: (space, weight, branch) per series and sampled weight branch; the zero
+#: of the "between-grid-points" series lies on the circle, half way
+#: between two points of the 4096 point certificate grid
+_SERIES_BRANCHES = {
+    "certified-count": ("bergman", taylor([-0.5, 1], 1e-9, tags=("disc_algebra",)),
+                        "boundary-certified"),
+    "certified-zero-free": ("hinf", taylor([-2.0, 0.5], 0.25, tags=("H_inf",)),
+                            "boundary-certified"),
+    "uncertified-count": ("bergman", taylor([-0.5, 1], 0.75, tags=("disc_algebra",)), "unresolved"),
+    "between-grid-points": ("bergman", taylor([-np.exp(1j * math.pi / 4096), 1], 1e-9,
+                                              tags=("disc_algebra",)), "unresolved"),
+    "samples": ("bergman", boundary_sample_weight(_SAMPLES, tags=("disc_algebra",)), "unresolved"),
+    "samples-touch-zero": ("bergman", boundary_sample_weight([1.0] * 63 + [0.0],
+                                                             tags=("disc_algebra",)), "unresolved"),
+    "samples-sup-norm": ("hinf", boundary_sample_weight(_SAMPLES, tags=("H_inf",)), "unresolved"),
+    "ell1a": ("ell1a", taylor([2.0, 0.5], 0.25, tags=("ell1A",)), "beyond-lipschitz"),
+    "ell1a-lambda-class": ("ell1a", taylor([2.0, 0.5], 0.25, tags=("ell1A", "Lambda_class")),
+                           "unresolved"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_SERIES_BRANCHES))
+def test_series_and_sample_branch_table(row):
+    """Citation, sigma, sigma_ap, index and flags of every branch a series
+    or sampled weight can take; none of them is exact beyond sigma_ap,
+    sigma_1 and sigma_2 of a certified series."""
+    variant, w, branch = _SERIES_BRANCHES[row]
+    rep = classify(space(variant, p=2) if variant == "bergman" else space(variant), w, GOLDEN)
+    rule = {"bergman": "bergman-trichotomy", "hinf": "hinf-trichotomy",
+            "ell1a": "wiener-series-circle"}[variant]
+    unknown, flags = (empty_set(), Status("unknown")), ()
+    if row == "samples-touch-zero":
+        sigma = ap = unknown
+    else:
+        g = geometric_mean(w, 1.0)
+        hi = closed_disc({"samples-sup-norm": 2.5, "ell1a": 2.75}.get(row, g))
+        sigma = (hi, bounds(circle(g), hi))
+        ap = {"boundary-certified": (circle(g), Status("exact")),
+              "unresolved": sigma}.get(branch, unknown)
+        if row == "samples-sup-norm":
+            ap = unknown
+        if branch == "beyond-lipschitz":
+            flags = (FLAG_BEYOND_LIPSCHITZ,)
+    cite = "%s(%s)" % (rule, branch)
+    assert {k: sr.citation for k, sr in rep.sets.items()} == {k: cite for k in REPORT_KEYS}
+    assert rep.citations == ("rotation-circles", cite)
+    assert (rep.sets["sigma"].set, rep.sets["sigma"].status) == sigma
+    assert (rep.sets["sigma_ap"].set, rep.sets["sigma_ap"].status) == ap
+    assert rep.index_map == ()
+    assert rep.open_flags == flags
+    exact = {k for k, sr in rep.sets.items() if sr.status.kind == "exact"}
+    certified = branch == "boundary-certified"
+    assert exact == ({"sigma_ap", "sigma_1", "sigma_2"} if certified else set())
+
+
 def test_polydisc_dimension_mismatches():
     sp = space("polydisc_algebra", dim=2)
     with pytest.raises(ClassifyError):

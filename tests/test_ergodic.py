@@ -240,6 +240,21 @@ def test_ap_membership_reads_the_whole_array_margins(lam, verdict, n_max, grid):
     assert v.witness == (complex(pts[j]) if v.certified_in else None)
 
 
+@pytest.mark.parametrize("w", _BITWISE_WEIGHTS)
+@pytest.mark.parametrize("n_max,grid", [(7, 256), (64, 1024), (130, 4096)])
+def test_refinement_reads_the_doubled_grid_bitwise(w, n_max, grid):
+    # the refinement rescans only the odd points of the doubled grid; the
+    # coarse grid is its even points
+    alpha = named_rotation("golden").alpha()
+    g = geometric_mean(w)
+    for lam in (0.5 * g, g, 2.0 * g):
+        ref_pts, ref = _whole_array_margins(w, alpha, lam, n_max, 2 * grid)
+        for odd, half in ((False, grid), (True, 2 * grid)):
+            pts, got = _membership_margins(w, alpha, lam, n_max, half, odd=odd)
+            assert _same_bits(pts, ref_pts[int(odd)::2])
+            assert _same_bits(got, ref[int(odd)::2])
+
+
 @pytest.mark.parametrize("w,point,n_max", [
     (polynomial([-2, 1]), 1.0 + 0j, 10),
     (polynomial([-1, 1]), 1.0 + 0j, 3),
