@@ -119,8 +119,10 @@ def _orbit_log_blocks(w: Weight, alpha: complex, pts: np.ndarray, n_max: int, ba
     n_max; row i of ``sums`` holds ln|w_n(k)| (forward) or
     ln|w_n(alpha^{-n} k)| (backward) at n = lo + 1 + i for each point k.
     Each block holds about _BLOCK_CELLS cells and at least one row; the
-    running sum of the previous block is carried into the first row, so
-    every row equals that of one whole-array cumsum bit for bit.
+    running sum of the previous block is carried into the first row, and
+    rows add in cumsum order (row by row below 32 rows, where a cumsum
+    along axis 0 is slower: 59 us against 2 us for 2 x 4096 on a Xeon),
+    so every row equals that of one whole-array cumsum bit for bit.
     """
     rows = max(1, _BLOCK_CELLS // pts.size)
     carry = None
@@ -130,7 +132,11 @@ def _orbit_log_blocks(w: Weight, alpha: complex, pts: np.ndarray, n_max: int, ba
         sums = _log_abs(evaluate(w, powers[:, None] * pts[None, :]))
         if carry is not None:
             sums[0] += carry
-        np.cumsum(sums, axis=0, out=sums)
+        if sums.shape[0] < 32:
+            for i in range(1, sums.shape[0]):
+                np.add(sums[i - 1], sums[i], out=sums[i])
+        else:
+            np.cumsum(sums, axis=0, out=sums)
         carry = sums[-1]
         yield lo, sums
 
@@ -254,9 +260,12 @@ def ap_membership(
 def _periodic_radius(w: Weight, angle: RotationAngle) -> float:
     """max_t (prod_{j<q} |w(alpha^j t)|)^{1/q} for alpha = exp(2 pi i p/q).
 
-    Both the best of 2^14 grid orbit means of ln|w| and the mean at the
-    vertex of the parabola through it and its two neighbours (O(h^4) off
-    the maximum, h the grid step) are samples, so the larger is kept.
+    The orbit mean of ln|w| has period 2 pi/q in the angle, so it is
+    sampled at 2 pi k/n for k = -1 .. ceil(n/q), one period and a
+    neighbour on each side, n = max(2^14, 2^11 q).  Both the best of the
+    grid means inside the period and the mean at the vertex of the parabola
+    through it and its two neighbours (O(h^4) off the maximum, h = 2 pi/n)
+    are samples, so the larger is kept.
     """
     q = angle.q
     alpha = angle.alpha()
@@ -275,18 +284,17 @@ def _periodic_radius(w: Weight, angle: RotationAngle) -> float:
         return math.exp(float(acc.max()) / q)
 
     _orbit_evaluable(w)
-    grid = 1 << 14
-    ts = np.exp(2j * np.pi * np.arange(grid) / grid)
-    acc = np.zeros(grid)  # row by row: the (q, grid) mean, bit for bit, minus its temporaries
-    for a in alpha ** np.arange(q):
-        acc += _log_abs(evaluate(w, a * ts))
-    means = acc / q
-    j = int(np.argmax(means))
+    n = max(1 << 14, q << 11)
+    ts = np.exp(2j * np.pi * np.arange(-1, -(-n // q) + 1) / n)
+    for _, sums in _orbit_log_blocks(w, alpha, ts, q, backward=False):
+        pass  # the last row is ln|w_q(t)|, q times the orbit mean
+    means = sums[-1] / q
+    j = 1 + int(np.argmax(means[1:-1]))
     best = float(means[j])
-    f_minus, f_plus = float(means[j - 1]), float(means[(j + 1) % grid])
+    f_minus, f_plus = float(means[j - 1]), float(means[j + 1])
     curv = f_minus - 2.0 * best + f_plus
     if math.isfinite(curv) and curv < 0.0:  # vertex within half a cell; -inf: an exact zero
-        theta = 2.0 * math.pi * (j + 0.5 * (f_minus - f_plus) / curv) / grid
+        theta = 2.0 * math.pi * (j - 1 + 0.5 * (f_minus - f_plus) / curv) / n
         z = complex(math.cos(theta), math.sin(theta))
         best = max(best, float(np.mean(_log_abs(evaluate(w, z * alpha ** np.arange(q))))))
     return math.exp(best)

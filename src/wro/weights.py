@@ -451,10 +451,16 @@ class RotationAngle:
         return False
 
 
+#: largest p/q order after reduction; the periodic radius costs O(q)
+MAX_ROTATION_ORDER = 1 << 13
+
+
 def root_of_unity(p: int, q: int) -> RotationAngle:
     if not isinstance(p, int) or not isinstance(q, int) or q < 1:
         raise WeightError("root of unity needs integer p and q >= 1")
     g = math.gcd(p % q if q else 0, q) or 1
+    if q // g > MAX_ROTATION_ORDER:
+        raise WeightError("rotation order %d exceeds the cap %d" % (q // g, MAX_ROTATION_ORDER))
     return RotationAngle("root_of_unity", p=(p % q) // g, q=q // g)
 
 

@@ -19,7 +19,7 @@ from wro.cli import (
     load_job,
     main,
 )
-from wro.weights import WeightError
+from wro.weights import MAX_ROTATION_ORDER, WeightError
 
 
 def _write_job(tmp_path, name, doc):
@@ -182,7 +182,8 @@ def test_periodic_radius_loads_no_scipy(tmp_path):
     assert res.strip() == "2 []"
     doc = json.loads(out.read_text())
     assert doc["agreement"] is False
-    assert doc["routes"]["ergodic"] == 2.0019502704788525
+    # w = (z - 2)(z - 1/2), q = 8: ((2^8 + 1)(1 + 2^-8))^(1/8), to the nearest double
+    assert doc["routes"]["ergodic"] == 258.00390625 ** 0.125
 
 
 def test_import_cli_loads_no_scipy():
@@ -415,6 +416,23 @@ def test_radius_routes_agree(tmp_path):
     assert routes["closed_form"] == pytest.approx(2.0, rel=1e-12)
     assert routes["quadrature"] == pytest.approx(2.0, rel=1e-10)
     assert routes["ergodic"] == pytest.approx(2.0, rel=1e-10)
+
+
+def test_radius_refuses_a_rotation_order_over_the_cap(tmp_path, capsys, monkeypatch):
+    # the parser refuses the order before any route runs: exit 1
+    def no_radius(*args):
+        raise AssertionError("the periodic radius ran")
+
+    monkeypatch.setattr(cli, "group_rotation_radius", no_radius)
+    job = _write_job(tmp_path, "pq.json", {
+        "space": {"variant": "bergman", "p": 2},
+        "weight": {"type": "poly", "coeffs": [1, -2.5, 1]},
+        "rotation": {"kind": "rational", "p": 1, "q": MAX_ROTATION_ORDER + 1},
+    })
+    capsys.readouterr()
+    assert main(["radius", "--job", job, "--out", str(tmp_path / "radius.json")]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "radius.json").exists()
 
 
 def test_radius_skips_unavailable_routes(tmp_path):

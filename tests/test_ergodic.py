@@ -27,9 +27,11 @@ from wro import (
     rational,
     raw_radians,
     root_of_unity,
+    taylor,
     torus_polynomial,
 )
-from wro.ergodic import _log_abs, _membership_margins, ordered_parallel_map
+from wro.ergodic import _log_abs, _membership_margins, _orbit_log_blocks, ordered_parallel_map
+from wro.weights import MAX_ROTATION_ORDER
 
 
 # ----------------------------------------------------------------------
@@ -293,24 +295,77 @@ def test_root_of_unity_radius_closed_form():
     assert got == pytest.approx(9.0 ** (1.0 / 3.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 5), (3, 8), (5, 7), (1, 12)])
-def test_root_of_unity_radius_two_zeros(p, q):
-    # w = (z - 2)(z + 1.5i): over an orbit of order q, |prod w(alpha^j t)|
-    # = prod_k |t^q - a_k^q|, so the radius is the q-th root of the maximum
-    # of |s - b_1||s - b_2| on |s| = 1, b_k = a_k^q.  On the circle that
-    # product squared is |H(s)|, H(s) = prod (s - b_k)(1 - conj(b_k) s), and
-    # its critical angles are the unimodular roots of s H'(s) - 2 H(s)
-    bs = [complex(a) ** q for a in (2.0, -1.5j)]
+def _orbit_max_radius(q, zeros, poles=()):
+    """Closed form radius of w = prod (z - a) / prod (z - d), all |a|, |d| > 1.
+
+    Over an orbit of order q, |prod_j w(alpha^j t)| = prod |s - a^q| /
+    prod |s - d^q| with s = t^q, and |s - b| = |b| |1 - c s|, c = b^{-1}.
+    On the circle |1 - c s|^2 = G_c(s)/s with G_c(s) = (1 - c s)(s - conj c),
+    so the critical angles of the quotient are the unimodular roots of
+    s G_N' G_D - s G_N G_D' - (A - D) G_N G_D, A and D the root counts.
+    Once every c is below rounding that polynomial degenerates; the log of
+    the maximum is then |sum c_a - sum c_d| to first order.
+    """
     P = np.polynomial.Polynomial
-    H = P([1.0])
-    for b in bs:
-        H = H * P([-b, 1.0]) * P([1.0, -b.conjugate()])
-    crit = (P([0.0, 1.0]) * H.deriv() - 2 * H).roots()
+    ca = [complex(a) ** -q for a in zeros]
+    cd = [complex(d) ** -q for d in poles]
+
+    def G(cs):
+        out = P([1.0])
+        for c in cs:
+            out = out * P([1.0, -c]) * P([-c.conjugate(), 1.0])
+        return out
+
+    GN, GD = G(ca), G(cd)
+    crit = (P([0.0, 1.0]) * (GN.deriv() * GD - GN * GD.deriv())
+            - (len(ca) - len(cd)) * GN * GD).roots()
     crit = crit[np.abs(np.abs(crit) - 1.0) < 1e-6]
-    best = max(math.prod(abs(s / abs(s) - b) for b in bs) for s in crit)
-    w = polynomial([-3j, -2 + 1.5j, 1])
+    crit = crit / np.abs(crit)
+
+    def log_quotient(s):
+        return (sum(math.log(abs(1 - c * s)) for c in ca)
+                - sum(math.log(abs(1 - c * s)) for c in cd))
+
+    log_max = max(map(log_quotient, crit)) if crit.size else abs(sum(ca) - sum(cd))
+    scale = math.prod(abs(a) for a in zeros) / math.prod(abs(d) for d in poles)
+    return scale * math.exp(log_max / q)
+
+
+_TWO_ZEROS = [-3j, -2 + 1.5j, 1]   # (z - 2)(z + 1.5i)
+
+
+_ORDERS = [(1, 2), (1, 3), (2, 5), (3, 8), (5, 7), (1, 12),
+           (2, 9), (4, 31), (5, 64), (3, 127), (7, 128), (3, 1000), (5, MAX_ROTATION_ORDER)]
+
+
+@pytest.mark.parametrize("w,poles,p,q", [
+    pytest.param(w, poles, p, q, id=kind + "%d-%d" % (p, q))
+    for kind, w, poles in (("", polynomial(_TWO_ZEROS), ()),
+                           ("rational-", rational(_TWO_ZEROS, [3, 1]), (-3.0,)),
+                           ("taylor-", taylor(_TWO_ZEROS, 1e-9), ()))
+    for p, q in _ORDERS
+])
+def test_root_of_unity_radius_two_zeros(w, poles, p, q):
+    # w = (z - 2)(z + 1.5i), over z + 3 or as a series; one period of the
+    # orbit mean holds 2^14/q grid points up to q = 8 and 2^11 above
     got = group_rotation_radius(w, root_of_unity(p, q))
-    assert got == pytest.approx(best ** (1.0 / q), rel=1e-13)
+    assert got == pytest.approx(_orbit_max_radius(q, (2.0, -1.5j), poles), rel=1e-13)
+
+
+@pytest.mark.parametrize("w", _BITWISE_WEIGHTS)
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 9, 64])
+def test_one_period_sums_equal_a_row_loop_bitwise(w, q):
+    # the periodic radius streams q rows of ln|w| over one period of points
+    # through the block kernel; its last row is the row by row sum
+    n = max(1 << 14, q << 11)
+    ts = np.exp(2j * np.pi * np.arange(-1, -(-n // q) + 1) / n)
+    alpha = root_of_unity(1, q).alpha()
+    for _, sums in _orbit_log_blocks(w, alpha, ts, q, backward=False):
+        pass
+    acc = np.zeros(ts.size)
+    for a in alpha ** np.arange(q):
+        acc += _log_abs(evaluate(w, a * ts))
+    assert _same_bits(sums[-1], acc)
 
 
 def test_periodic_radius_on_samples_grid():

@@ -33,6 +33,7 @@ from wro import (
     weight_at_origin,
     weight_payload,
 )
+from wro.weights import MAX_ROTATION_ORDER
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -219,6 +220,17 @@ def test_root_of_unity_reduction():
     assert abs(rot.alpha() + 1.0) < 1e-15
     with pytest.raises(WeightError):
         root_of_unity(1, 0)
+
+
+def test_root_of_unity_order_cap():
+    assert root_of_unity(1, MAX_ROTATION_ORDER).q == MAX_ROTATION_ORDER
+    # the cap applies after reduction: 2 / (2 cap) is 1 / cap
+    rot = root_of_unity(2, 2 * MAX_ROTATION_ORDER)
+    assert (rot.p, rot.q) == (1, MAX_ROTATION_ORDER)
+    with pytest.raises(WeightError, match="exceeds the cap"):
+        root_of_unity(1, MAX_ROTATION_ORDER + 1)
+    with pytest.raises(WeightError, match="exceeds the cap"):
+        parse_rotation({"kind": "rational", "p": 2, "q": MAX_ROTATION_ORDER + 1})
 
 
 def test_raw_radians_certification_flag():
