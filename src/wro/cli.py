@@ -56,7 +56,6 @@ from .oracle import (
     OracleError,
     build_truncation,
     check_smoothing_identity,
-    monomial_norms,
     norm_asymptotics,
     pseudospectrum_scan,
     residual_horizon,
@@ -90,12 +89,10 @@ PARAM_DEFAULTS = {
     "peak_power": 400,       # power of the peaked polynomial
     "angles": 64,            # angles per circle in scans
     "radius_factors": [0.5, 0.75, 1.0, 1.25, 1.5],
-    "eps": 0.5,              # smoothing identity epsilon
-    "smoothing_n": 3,        # smoothing identity half width
     "m_max": 10000,          # top of the norm asymptotics ladder
 }
 
-_INT_PARAMS = ("grid", "truncation", "peak_power", "angles", "smoothing_n", "m_max")
+_INT_PARAMS = ("grid", "truncation", "peak_power", "angles", "m_max")
 _LIST_PARAMS = ("ladder", "m_ladder", "radius_factors")
 
 #: membership scan budget: grid points times orbit horizon.  The scan
@@ -104,14 +101,14 @@ _LIST_PARAMS = ("ladder", "m_ladder", "radius_factors")
 MAX_MEMBERSHIP_CELLS = 1 << 22
 #: angles per circle in a scan
 MAX_ANGLES = 1 << 14
-#: smoothing identity half width; the check keeps 2n + 2 matrix powers
-MAX_SMOOTHING_N = 256
+#: epsilon and half width of the smoothing identity, which holds at every value
+SMOOTHING_EPS = 0.5
+SMOOTHING_N = 3
 #: upper bounds of the integer tunables
 _INT_CAPS = {
     "truncation": MAX_TRUNCATION,
     "m_max": MAX_LADDER_M,
     "angles": MAX_ANGLES,
-    "smoothing_n": MAX_SMOOTHING_N,
 }
 
 
@@ -160,13 +157,14 @@ def _merge_params(doc: dict) -> dict:
                 % (name, "integers" if integral else "numbers")
             )
         out[name] = [int(x) if integral else float(x) for x in val]
-    eps = out["eps"]
-    if not isinstance(eps, (int, float)) or not (0.0 < float(eps) < 1.0):
-        raise WeightError("param eps must lie in (0, 1)")
-    out["eps"] = float(eps)
     for name, cap in _INT_CAPS.items():
         if out[name] > cap:
             raise WeightError("param %s must be at most %d" % (name, cap))
+    # the norm ladder judges its drift on two rungs; the residual needs m >= 2
+    if out["m_max"] < 3:
+        raise WeightError("param m_max must be at least 3")
+    if min(out["m_ladder"]) < 2:
+        raise WeightError("param m_ladder entries must be at least 2")
     if max(out["ladder"]) > MAX_TRUNCATION:
         raise WeightError("param ladder entries must be at most %d" % MAX_TRUNCATION)
     # the residual check scans orbits of residual_horizon(m) steps for each m
@@ -381,8 +379,9 @@ def cmd_scan(args) -> int:
     if not base:
         raise OracleError("the predicted set has no positive radius to scan")
     radii = sorted({f * r for r in base for f in job.params["radius_factors"]})
-    order = job.params["truncation"]
-    t = build_truncation(job.space, job.weight, job.rotation, order)
+    t = _matrix_model(job, job.params["truncation"])
+    if isinstance(t, str):
+        raise WeightError(t)
     grid = pseudospectrum_scan(t, radii, n_angles=job.params["angles"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -551,14 +550,13 @@ def cmd_plot(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _model_ready(job: JobDocument) -> bool:
-    """The space has a sequence space matrix model and the rotation is
-    one angle."""
+def _matrix_model(job: JobDocument, order: int):
+    """The job's truncation of ``order``, or the oracle's reason why the
+    job has no matrix model (space, rotation or weight data)."""
     try:
-        monomial_norms(job.space, 1)
-    except OracleError:
-        return False
-    return isinstance(job.rotation, RotationAngle)
+        return build_truncation(job.space, job.weight, job.rotation, order)
+    except OracleError as exc:
+        return str(exc)
 
 
 def _verdict(name, ok, data):
@@ -584,14 +582,11 @@ def _check_radius_routes(job):
     return _verdict("radius-routes", _routes_agree(routes), data)
 
 
-def _check_diagonal(job):
-    if not _model_ready(job):
-        return _skipped("diagonal-candidates", "no sequence space model")
+def _check_diagonal(job, model):
+    if isinstance(model, str):
+        return _skipped("diagonal-candidates", model)
     order = min(job.params["truncation"], 64)
-    try:
-        t = build_truncation(job.space, job.weight, job.rotation, order)
-    except OracleError as exc:
-        return _skipped("diagonal-candidates", str(exc))
+    t = model.leading(order)
     cand = point_spectrum_candidates(job.weight, job.rotation, count=order)
     diag = t.diagonal()
     if cand:
@@ -602,33 +597,30 @@ def _check_diagonal(job):
     return _verdict("diagonal-candidates", ok, data)
 
 
-def _check_smoothing(job):
-    if not _model_ready(job):
-        return _skipped("smoothing-identity", "no sequence space model")
+def _check_smoothing(job, model):
+    if isinstance(model, str):
+        return _skipped("smoothing-identity", model)
     order = min(job.params["truncation"], 64)
-    try:
-        t = build_truncation(job.space, job.weight, job.rotation, order)
-    except OracleError as exc:
-        return _skipped("smoothing-identity", str(exc))
-    dev = check_smoothing_identity(t, job.params["eps"], job.params["smoothing_n"])
-    floor = smoothing_floor(t, job.params["smoothing_n"])
+    t = model.leading(order)
+    dev = check_smoothing_identity(t, SMOOTHING_EPS, SMOOTHING_N)
+    floor = smoothing_floor(t, SMOOTHING_N)
     data = {
         "order": order,
-        "eps": job.params["eps"],
-        "n": job.params["smoothing_n"],
+        "eps": SMOOTHING_EPS,
+        "n": SMOOTHING_N,
         "deviation": dev,
         "tolerance": floor,
     }
     return _verdict("smoothing-identity", dev < floor, data)
 
 
-def _check_rank(job, report):
-    if not _model_ready(job):
-        return _skipped("truncation-rank", "no sequence space model")
+def _check_rank(job, report, model):
+    if isinstance(model, str):
+        return _skipped("truncation-rank", model)
     if not job.weight.closed_form:
         return _skipped("truncation-rank", "needs a closed form one variable weight")
     order = job.params["truncation"]
-    t = build_truncation(job.space, job.weight, job.rotation, order)
+    t = model.leading(order)
     result = truncation_rank(t)
     # the truncation is triangular: singular exactly when w(0) = 0
     sigma = report.sets["sigma"]
@@ -655,9 +647,9 @@ def _gap_floor(t, points) -> float:
     return t.order * float(np.finfo(float).eps) * float(max(np.abs(np.tril(m, -1)).max(), diag))
 
 
-def _check_gap_trend(job, report):
-    if not _model_ready(job):
-        return _skipped("pseudospectrum-trend", "no sequence space model")
+def _check_gap_trend(job, report, model):
+    if isinstance(model, str):
+        return _skipped("pseudospectrum-trend", model)
     ap = report.sets["sigma_ap"]
     if ap.status.kind == "unknown" or ap.set.is_empty:
         return _skipped("pseudospectrum-trend", "the approximate point spectrum is unknown")
@@ -673,7 +665,7 @@ def _check_gap_trend(job, report):
     off_gaps = []
     floors = []
     for order in ladder:
-        t = build_truncation(job.space, job.weight, job.rotation, order)
+        t = model.leading(order)
         grid = pseudospectrum_scan(t, [r_on, r_off], n_angles=8)
         on_gaps.append(float(np.max(grid.gaps[:8])))
         off_gaps.append(float(np.min(grid.gaps[8:])))
@@ -698,13 +690,13 @@ def _check_gap_trend(job, report):
     return _verdict("pseudospectrum-trend", ok, data)
 
 
-def _check_residual_decay(job, report):
+def _check_residual_decay(job, report, model):
     sp = job.space
-    has_norm = _model_ready(job) or sp.variant == "bloch"
-    if not has_norm:
-        return _skipped("residual-decay", "no computable space norm")
     if not isinstance(job.weight.rep, Polynomial):
         return _skipped("residual-decay", "needs a polynomial weight")
+    # the space norm is the model's, or the Bloch norm
+    if isinstance(model, str) and sp.variant != "bloch":
+        return _skipped("residual-decay", model)
     rot = job.rotation
     if not isinstance(rot, RotationAngle) or not rot.certified_nonperiodic:
         return _skipped("residual-decay", "needs a certified non periodic rotation")
@@ -714,9 +706,12 @@ def _check_residual_decay(job, report):
     lam = ap.set.outer_radius()
     if lam <= 0.0:
         return _skipped("residual-decay", "no positive circle to probe")
+    rungs = sorted(set(job.params["m_ladder"]))
+    if len(rungs) < 2:
+        return _skipped("residual-decay", "the m ladder needs at least two entries")
     residuals = []
     try:
-        for m in job.params["m_ladder"]:
+        for m in rungs:
             rep = singular_sequence_residual(
                 sp,
                 job.weight,
@@ -729,7 +724,7 @@ def _check_residual_decay(job, report):
             residuals.append(rep.residual)
     except OracleError as exc:
         return _verdict("residual-decay", False, {"error": str(exc), "residuals": residuals})
-    data = {"lambda": lam, "m_ladder": list(job.params["m_ladder"]), "residuals": residuals}
+    data = {"lambda": lam, "m_ladder": rungs, "residuals": residuals}
     ok = all(b < a for a, b in zip(residuals, residuals[1:]))
     return _verdict("residual-decay", ok, data)
 
@@ -754,14 +749,16 @@ def _check_norm_ladder(job):
 def cmd_verify(args) -> int:
     job = load_job(args.job)
     report = classify(job.space, job.weight, job.rotation)
+    # one truncation at the top order; every check reads its leading blocks
+    model = _matrix_model(job, max(job.params["truncation"], *job.params["ladder"]))
     checks = [
         _check_consistency(job, report),
         _check_radius_routes(job),
-        _check_diagonal(job),
-        _check_smoothing(job),
-        _check_rank(job, report),
-        _check_gap_trend(job, report),
-        _check_residual_decay(job, report),
+        _check_diagonal(job, model),
+        _check_smoothing(job, model),
+        _check_rank(job, report, model),
+        _check_gap_trend(job, report, model),
+        _check_residual_decay(job, report, model),
         _check_norm_ladder(job),
     ]
     passed = all(c["status"] != "failed" for c in checks)

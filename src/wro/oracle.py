@@ -97,14 +97,19 @@ class TruncationMatrix:
     """Truncation of T to the first ``order`` normalized monomials."""
 
     entries: np.ndarray   # (order, order) complex, lower triangular
-    nus: np.ndarray       # monomial norms of the model
     norm_tag: str         # "euclidean" | "sum"
-    alpha: complex
     order: int
-    space_variant: str
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
+
+    def leading(self, n: int) -> "TruncationMatrix":
+        """The truncation of order n <= ``order``, bit for bit: entry
+        [i, k] depends on i and k only, so it is the leading n x n block
+        (a contiguous array, copied where the block is not contiguous)."""
+        if not (1 <= n <= self.order):
+            raise OracleError("order must lie in 1..%d" % self.order)
+        return TruncationMatrix(np.ascontiguousarray(self.entries[:n, :n]), self.norm_tag, n)
 
 
 def build_truncation(sp: SpaceSpec, w: Weight, rotation, order: int) -> TruncationMatrix:
@@ -130,14 +135,7 @@ def build_truncation(sp: SpaceSpec, w: Weight, rotation, order: int) -> Truncati
     # expression the candidate law uses so the agreement is bitwise, not
     # merely up to rounding of the elementwise products
     entries[idx, idx] = apow * coeffs[0]
-    return TruncationMatrix(
-        entries=entries,
-        nus=nus,
-        norm_tag=tag,
-        alpha=complex(alpha),
-        order=order,
-        space_variant=sp.variant,
-    )
+    return TruncationMatrix(entries=entries, norm_tag=tag, order=order)
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,8 @@ def test_load_job_rejects_unknown_fields(tmp_path):
     path = _bergman_job(tmp_path, params={"grit": 1024}, name="bad2.json")
     with pytest.raises(WeightError):
         load_job(path)
-    path = _bergman_job(tmp_path, params={"eps": 1.5}, name="bad3.json")
+    # the smoothing identity's eps is a constant, no longer a param
+    path = _bergman_job(tmp_path, params={"eps": 0.5}, name="bad3.json")
     with pytest.raises(WeightError):
         load_job(path)
     path = _bergman_job(tmp_path, params={"radius_factors": []}, name="bad4.json")
@@ -84,7 +85,10 @@ def test_load_job_rejects_unknown_fields(tmp_path):
     {"ladder": [64, cli.MAX_TRUNCATION + 1]},
     {"m_max": cli.MAX_LADDER_M + 1},
     {"angles": cli.MAX_ANGLES + 1},
-    {"smoothing_n": cli.MAX_SMOOTHING_N + 1},
+    {"smoothing_n": 257},                  # a constant now, so an unknown param
+    {"m_max": 2},                          # one norm ladder rung: IndexError traceback before
+    {"m_max": 1},                          # exited 2 from the ladder
+    {"m_ladder": [1, 4]},                  # exited 2 from the residual check
     {"grid": 1 << 24},                     # about 54 GB of membership margins
     {"grid": 1 << 16, "m_ladder": [64]},   # 65536 x 130 cells
     {"n_max": 200},                        # dropped: no command read it
@@ -573,8 +577,13 @@ def test_verify_bergman_ledger(tmp_path):
 LARGE_NORM_COEFFS = (20, -30, 15)
 
 
+def _model(job):
+    return cli._matrix_model(job, job.params["truncation"])
+
+
 def test_smoothing_identity_passes_at_large_norm(tmp_path):
-    result = cli._check_smoothing(load_job(_bergman_job(tmp_path, coeffs=LARGE_NORM_COEFFS)))
+    job = load_job(_bergman_job(tmp_path, coeffs=LARGE_NORM_COEFFS))
+    result = cli._check_smoothing(job, _model(job))
     assert result["status"] == "passed"
     assert 1e-8 < result["data"]["deviation"] < 1e-4 * result["data"]["tolerance"]
 
@@ -587,10 +596,11 @@ def test_smoothing_identity_fails_when_a_term_is_perturbed(tmp_path, coeffs, mon
     from wro import oracle
 
     job = load_job(_bergman_job(tmp_path, coeffs=coeffs))
-    n = job.params["smoothing_n"]
+    model = _model(job)
+    n = cli.SMOOTHING_N
     exact = oracle._smoothing_terms
-    terms = exact(job.params["eps"], n)
-    assert cli._check_smoothing(job)["status"] == "passed"
+    terms = exact(cli.SMOOTHING_EPS, n)
+    assert cli._check_smoothing(job, model)["status"] == "passed"
     for k, (_, power) in enumerate(terms):
         if coeffs == LARGE_NORM_COEFFS and power <= n:
             continue
@@ -601,7 +611,7 @@ def test_smoothing_identity_fails_when_a_term_is_perturbed(tmp_path, coeffs, mon
             return out
 
         monkeypatch.setattr(oracle, "_smoothing_terms", perturbed)
-        assert cli._check_smoothing(job)["status"] == "failed", k
+        assert cli._check_smoothing(job, model)["status"] == "failed", k
 
 
 def test_verify_bloch_norm_ladder_fails(tmp_path):
@@ -644,6 +654,72 @@ def test_verify_skips_where_no_model_exists(tmp_path):
     assert status["report-consistency"] == "passed"
     assert status["diagonal-candidates"] == "skipped"
     assert status["pseudospectrum-trend"] == "skipped"
+
+
+def test_verify_builds_one_truncation(tmp_path, monkeypatch):
+    orders = []
+    build = cli.build_truncation
+
+    def counted(sp, w, rotation, order):
+        orders.append(order)
+        return build(sp, w, rotation, order)
+
+    monkeypatch.setattr(cli, "build_truncation", counted)
+    job = _bergman_job(tmp_path, coeffs=(1, -2.5, 1), params={
+        "truncation": 64, "ladder": [32, 64, 96], "m_ladder": [4, 16], "grid": 2048,
+    })
+    assert main(["verify", "--job", job, "--out", str(tmp_path / "ledger.json")]) == 0
+    assert orders == [96]
+
+
+SAMPLED_BERGMAN = {
+    "space": {"variant": "bergman", "p": 2},
+    "weight": {"type": "samples", "values": [2 + 0.5 * (j % 2) for j in range(64)],
+               "tags": ["disc_algebra"]},
+    "rotation": {"kind": "named", "name": "golden"},
+}
+
+
+def test_verify_sampled_weight_skips_the_model_checks(tmp_path):
+    # the truncation needs coefficient data: every model check skips with
+    # the oracle's reason (the trend check exited 2 before)
+    out = tmp_path / "ledger.json"
+    assert main(["verify", "--job", _write_job(tmp_path, "s.json", SAMPLED_BERGMAN),
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("diagonal-candidates", "smoothing-identity", "truncation-rank",
+                 "pseudospectrum-trend"):
+        assert checks[name]["status"] == "skipped"
+        assert "coefficient data" in checks[name]["data"]["reason"]
+    assert checks["residual-decay"]["data"]["reason"] == "needs a polynomial weight"
+
+
+@pytest.mark.parametrize("doc", [
+    SAMPLED_BERGMAN,
+    {"space": {"variant": "annulus_hardy", "inner_radius": 0.5, "p": 2},
+     "weight": {"type": "rational", "num": [-0.75, 1], "den": [1, 0.25]},
+     "rotation": {"kind": "named", "name": "golden"}},
+    {"space": {"variant": "bergman", "p": 3},
+     "weight": {"type": "poly", "coeffs": [1, -2.5, 1]},
+     "rotation": {"kind": "named", "name": "golden"}},
+], ids=["samples", "annulus", "bergman_p3"])
+def test_scan_without_a_matrix_model_exits_1(tmp_path, capsys, doc):
+    out = tmp_path / "grid.csv"
+    assert main(["scan", "--job", _write_job(tmp_path, "j.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_ladder,rungs", [([16, 4, 16], [4, 16]), ([4, 4], None)])
+def test_residual_decay_reads_sorted_distinct_rungs(tmp_path, m_ladder, rungs):
+    job = load_job(_bergman_job(tmp_path, coeffs=(1, -2.5, 1),
+                                params={"m_ladder": m_ladder, "grid": 2048}))
+    report = cli.classify(job.space, job.weight, job.rotation)
+    result = cli._check_residual_decay(job, report, _model(job))
+    if rungs is None:
+        assert result["status"] == "skipped"
+    else:
+        assert result["status"] == "passed" and result["data"]["m_ladder"] == rungs
 
 
 def test_verify_ambiguous_boundary_zero_runs_every_check(tmp_path):
@@ -714,7 +790,7 @@ def test_gap_trend_tie_rule(tmp_path, monkeypatch, rise, status):
                                   tuple(radii), n_angles, t.order)
 
     monkeypatch.setattr(cli, "pseudospectrum_scan", scan)
-    assert cli._check_gap_trend(job, report)["status"] == status
+    assert cli._check_gap_trend(job, report, _model(job))["status"] == status
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from wro import (
     polynomial,
     pseudospectrum_scan,
     rational,
+    raw_radians,
     singular_sequence_residual,
     taylor,
     truncation_rank,
@@ -112,12 +113,36 @@ def test_truncation_entries_bitwise_match_scipy_toeplitz():
         for sp in (BERGMAN, space("dirichlet", p=2), space("ell1a")):
             T = build_truncation(sp, w, GOLDEN, 40)
             c = taylor_coefficients(w, 40)
+            nus = monomial_norms(sp, 40)[0]
             first_row = np.zeros(40, dtype=complex)
             first_row[0] = c[0]
             apow = GOLDEN.alpha() ** np.arange(40)
-            ref = toeplitz(c, first_row) * apow[None, :] * (T.nus[:, None] / T.nus[None, :])
+            ref = toeplitz(c, first_row) * apow[None, :] * (nus[:, None] / nus[None, :])
             np.fill_diagonal(ref, apow * c[0])
             assert np.array_equal(T.entries.view(float), ref.view(float))
+
+
+MODEL_SPACES = (space("hardy_banach"), BERGMAN, space("dirichlet", p=2), space("ell1a"))
+
+
+@pytest.mark.parametrize("rotation", [GOLDEN, raw_radians(1.5)], ids=["golden", "radians"])
+@pytest.mark.parametrize("w", [
+    polynomial([1j, -2.5, 1, 0.3 - 0.2j]),
+    rational([1, -0.5j], [1, 0.4]),
+    taylor([2.0] + [0.6 ** k for k in range(1, 300)], 1e-12),
+], ids=["poly", "rational", "taylor"])
+def test_leading_block_is_the_lower_order_truncation(w, rotation):
+    # verify builds one truncation and reads every lower order from it
+    for sp in MODEL_SPACES:
+        top = build_truncation(sp, w, rotation, 256)
+        assert np.shares_memory(top.leading(256).entries, top.entries)
+        for n in (1, 16, 63, 64, 200):
+            block, ref = top.leading(n), build_truncation(sp, w, rotation, n)
+            assert (block.order, block.norm_tag) == (ref.order, ref.norm_tag)
+            assert block.entries.flags.c_contiguous
+            assert block.entries.tobytes() == ref.entries.tobytes()
+    with pytest.raises(OracleError):
+        top.leading(257)
 
 
 def test_truncation_validation():
