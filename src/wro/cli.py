@@ -38,7 +38,6 @@ from .analysis import (
 )
 from .classify import (
     REPORT_KEYS,
-    ClassifyError,
     Component,
     InconsistentReportError,
     SetReport,
@@ -588,7 +587,7 @@ def _check_diagonal(job, model):
     order = min(job.params["truncation"], 64)
     t = model.leading(order)
     cand = point_spectrum_candidates(job.weight, job.rotation, count=order)
-    diag = t.diagonal()
+    diag = t.bands[0]
     if cand:
         ok = np.array_equal(np.asarray(cand, dtype=complex), diag)
     else:
@@ -625,7 +624,7 @@ def _check_rank(job, report, model):
     # the truncation is triangular: singular exactly when w(0) = 0
     sigma = report.sets["sigma"]
     invertible = sigma.status.kind == "exact" and not sigma.set.contains(origin_set())
-    origin_zero = t.entries[0, 0] == 0
+    origin_zero = t.bands[0, 0] == 0
     data = {
         "order": order,
         "rank": result.rank,
@@ -637,14 +636,6 @@ def _check_rank(job, report, model):
         return _skipped("truncation-rank", "the singular value gap is indeterminate")
     ok = not (invertible and result.rank != order) and not (origin_zero and result.rank >= order)
     return _verdict("truncation-rank", ok, data)
-
-
-def _gap_floor(t, points) -> float:
-    """Rounding floor N eps max|A_ij| of the gaps of A = lambda I - M at
-    ``points``: a gap is computed to within it, whatever the route."""
-    m = t.entries
-    diag = np.abs(points[:, None] - np.diagonal(m)).max()
-    return t.order * float(np.finfo(float).eps) * float(max(np.abs(np.tril(m, -1)).max(), diag))
 
 
 def _check_gap_trend(job, report, model):
@@ -665,11 +656,10 @@ def _check_gap_trend(job, report, model):
     off_gaps = []
     floors = []
     for order in ladder:
-        t = model.leading(order)
-        grid = pseudospectrum_scan(t, [r_on, r_off], n_angles=8)
+        grid = pseudospectrum_scan(model.leading(order), [r_on, r_off], n_angles=8)
         on_gaps.append(float(np.max(grid.gaps[:8])))
         off_gaps.append(float(np.min(grid.gaps[8:])))
-        floors.append(_gap_floor(t, grid.points[:8]))
+        floors.append(float(np.max(grid.floors[:8])))
     # on the predicted circle the gap must shrink with the order: it is
     # nonincreasing in exact arithmetic, so a step may rise by at most the
     # rounding floor of its larger order, and the top order's gap must lie
@@ -816,10 +806,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # first: the last two subclass ValueError, which means bad input below
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
-    except (WeightError, ClassifyError, AnalysisError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

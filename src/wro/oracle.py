@@ -11,7 +11,9 @@ in the normalized basis e_k = z^k / ||z^k||.  On that basis
     T e_k = alpha^k w(z) z^k / nu_k  ->  M[n, k] = alpha^k c_{n-k} nu_n / nu_k,
 
 a lower triangular matrix whose diagonal alpha^k w(0) matches the point
-spectrum candidates exactly (same arithmetic, term by term).  Spaces
+spectrum candidates exactly (same arithmetic, term by term).  It is held
+as its diagonals, one per coefficient c_j; the dense matrix is formed
+only for the dense gap route, the rank and the smoothing identity.  Spaces
 with a usable sequence model: the Hardy type space (coefficient proxy
 norm), the Bergman and Dirichlet spaces at p = 2, and the summable
 series space with its l^1 coefficient norm.  The Bloch space has no
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,22 +97,39 @@ def monomial_norms(sp: SpaceSpec, order: int) -> Tuple[np.ndarray, str]:
 
 @dataclass(frozen=True)
 class TruncationMatrix:
-    """Truncation of T to the first ``order`` normalized monomials."""
+    """Truncation of T to the first ``order`` normalized monomials, held
+    as its diagonals in LAPACK lower band storage: bands[j, k] = M[k + j, k],
+    zero where k + j >= order."""
 
-    entries: np.ndarray   # (order, order) complex, lower triangular
+    bands: np.ndarray     # (d + 1, order) complex; c_d the last nonzero coefficient
     norm_tag: str         # "euclidean" | "sum"
-    order: int
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries)
+    @property
+    def order(self) -> int:
+        return self.bands.shape[1]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (order, order) matrix, formed on first use."""
+        n = self.order
+        m = np.zeros((n, n), dtype=complex)
+        flat = m.reshape(-1)
+        for j, band in enumerate(self.bands):
+            flat[j * n :: n + 1] = band[: n - j]   # the entries [k + j, k]
+        return m
 
     def leading(self, n: int) -> "TruncationMatrix":
         """The truncation of order n <= ``order``, bit for bit: entry
-        [i, k] depends on i and k only, so it is the leading n x n block
-        (a contiguous array, copied where the block is not contiguous)."""
+        [i, k] depends on i and k only, so it is the leading n x n block,
+        the bands cut to n columns without their entries below row n."""
         if not (1 <= n <= self.order):
             raise OracleError("order must lie in 1..%d" % self.order)
-        return TruncationMatrix(np.ascontiguousarray(self.entries[:n, :n]), self.norm_tag, n)
+        if n == self.order:
+            return self
+        bands = self.bands[:n, :n].copy()
+        for j in range(1, bands.shape[0]):
+            bands[j, n - j :] = 0.0
+        return TruncationMatrix(bands, self.norm_tag)
 
 
 def build_truncation(sp: SpaceSpec, w: Weight, rotation, order: int) -> TruncationMatrix:
@@ -125,17 +145,17 @@ def build_truncation(sp: SpaceSpec, w: Weight, rotation, order: int) -> Truncati
         coeffs = taylor_coefficients(w, order)
     except WeightError as exc:
         raise OracleError("truncation needs coefficient data: %s" % exc) from exc
-    alpha = rotation.alpha()
-    apow = alpha ** np.arange(order)
-    idx = np.arange(order)
-    # lower Toeplitz matrix of the coefficients: toep[n, k] = c_{n-k}
-    toep = np.tril(coeffs[idx[:, None] - idx])
-    entries = toep * apow[None, :] * (nus[:, None] / nus[None, :])
+    apow = rotation.alpha() ** np.arange(order)
+    nonzero = np.flatnonzero(coeffs)
+    bands = np.zeros((nonzero[-1] + 1 if nonzero.size else 1, order), dtype=complex)
+    # M[k + j, k] = c_j alpha^k nu_{k+j} / nu_k, one diagonal at a time
+    for j in range(1, bands.shape[0]):
+        bands[j, : order - j] = coeffs[j] * apow[: order - j] * (nus[j:] / nus[: order - j])
     # the diagonal is alpha^k w(0) by definition; write it with the same
     # expression the candidate law uses so the agreement is bitwise, not
     # merely up to rounding of the elementwise products
-    entries[idx, idx] = apow * coeffs[0]
-    return TruncationMatrix(entries=entries, norm_tag=tag, order=order)
+    bands[0] = apow * coeffs[0]
+    return TruncationMatrix(bands=bands, norm_tag=tag)
 
 
 # ----------------------------------------------------------------------
@@ -201,28 +221,22 @@ class _BandedShift:
 
     M is lower triangular with bandwidth d (the degree for polynomial
     weights, N - 1 for Taylor and rational ones).  While the band is
-    narrow enough (``banded``), lambda I - M is kept in LAPACK lower band
-    storage, so every solve with it is a banded triangular solve costing
-    O(N d) and only the diagonal depends on lambda.  Otherwise every
-    point takes the dense route, which is faster there.
+    narrow enough (``banded``), the routes read M's band storage, so every
+    solve with lambda I - M is a banded triangular solve costing O(N d)
+    and only the diagonal depends on lambda.  Otherwise every point takes
+    the dense route, which is faster there.
     """
 
     def __init__(self, T: TruncationMatrix):
-        m = T.entries
         n = T.order
-        # bandwidth: the largest distance of a row's first nonzero entry
-        # from the diagonal (a zero row n < d gives n, never more than d)
-        d = int(np.max(np.arange(n) - np.argmax(m != 0, axis=1)))
+        # bandwidth: the last diagonal with a nonzero entry (the zero
+        # matrix counts as a full band)
+        nonzero = np.flatnonzero(T.bands.any(axis=1))
+        d = int(nonzero[-1]) if nonzero.size else n - 1
         self.banded = d * BANDED_MAX_WIDTH_DIVISOR[T.norm_tag] <= n
-        self.bands = np.zeros((d + 1 if self.banded else 1, n), dtype=complex)
-        for i in range(1, self.bands.shape[0]):
-            self.bands[i, : n - i] = -np.diagonal(m, -i)
-        # the dense route copies M at every point anyway; the banded one
-        # reads the off-diagonal entries from the bands, without N x N
-        # temporaries
-        off = self.bands[1:] if self.banded else np.tril(m, -1)
-        self.off_max = float(np.max(np.abs(off))) if off.size else 0.0
-        self.diag = np.diagonal(m).copy()
+        # the rows of M the banded routes read; the dense route forms M
+        self.bands = T.bands[: d + 1 if self.banded else 1]
+        self.off_max = float(np.abs(T.bands[1:]).max(initial=0.0))
         self.T = T
         self.tau = (d + 1) * math.sqrt(np.finfo(float).eps / GRAM_REL_ERR)
         # a fixed start vector keeps the scan deterministic
@@ -233,7 +247,8 @@ class _BandedShift:
     def circle(self, points: np.ndarray) -> np.ndarray:
         """g(lambda) = 1 / ||(lambda I - M)^{-1}|| in the model norm at the
         points of one circle, walked in angle order: each point of a
-        Euclidean scan may shift by its predecessor's gap.
+        Euclidean scan may shift by its predecessor's gap.  Returns the
+        gaps and the floors as the two rows of one array.
 
         Inside the spectrum the gap is roundoff; there the floor
         N eps max|A_ij| of A = lambda I - M is reported instead: when a
@@ -243,15 +258,15 @@ class _BandedShift:
         [1/2, 1): an overflow then certifies a gap far below the floor.
         """
         ell1 = self.banded and self.T.norm_tag == "sum"
-        gaps = np.empty(points.size)
+        out = np.empty((2, points.size))
         prev = 0.0
         step = max(1, CIRCLE_BATCH_ENTRIES // self.bands.size)
         for lo in range(0, points.size, step):
             part = points[lo : lo + step]
-            diag = part[:, None] - self.diag
+            diag = part[:, None] - self.T.bands[0]
             size = np.abs(diag)
             amax = np.maximum(self.off_max, size.max(axis=1))
-            floor = self.T.order * np.finfo(float).eps * amax
+            floor = out[1, lo : lo + part.size] = self.T.order * np.finfo(float).eps * amax
             todo = size.min(axis=1) > floor
             scale = 2.0 ** -np.frexp(amax)[1]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -272,15 +287,15 @@ class _BandedShift:
                         if g is None:   # no convergence: the dense route
                             g = _gap_dense(self.T, complex(lam))
                     # "not >" also maps an overflow (0 or NaN) to the floor
-                    gaps[lo + i] = prev = g if g > floor[i] else floor[i]
-        return gaps
+                    out[0, lo + i] = prev = g if g > floor[i] else floor[i]
+        return out
 
     def _lanczos(self, diag: np.ndarray, amax: float, floor: float, scale: float,
                  prev: float) -> Optional[float]:
         """The banded Euclidean route at one point; None when the inverse
         Lanczos does not converge.  Off the spectrum (the previous gap
         ``prev`` at least tau max|A_ij|) the shifted route is tried first."""
-        ab = self.bands * scale
+        ab = self.bands * -scale
         ab[0] = diag * scale
         cut = self.tau * amax * scale
         if prev * scale >= cut:
@@ -293,13 +308,14 @@ class _BandedShift:
 
 def _ell1_gaps(bands: np.ndarray, diag: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """1 / ||(s A)^{-1}||_1 for a batch of lower banded triangular
-    matrices s A that share the off-diagonal bands ``bands[1:]`` up to a
-    power of two s per matrix; 0.0 where the solve overflows.
+    matrices s A = s (lambda I - M) that share the off-diagonal bands
+    ``bands[1:]`` of M, with a power of two s per matrix; 0.0 where the
+    solve overflows.
 
     ``diag`` holds the scaled diagonals s A[i, i], one row per matrix.
     Row i of X = (s A)^{-1} is
 
-        X_i = (e_i - s sum_{k=1}^{d} A[i, i - k] X_{i-k}) / (s A[i, i])
+        X_i = (e_i + s sum_{k=1}^{d} M[i, i - k] X_{i-k}) / (s A[i, i])
 
     on the columns up to i.  Only the last d + 1 rows are kept, with the
     running column sums of |X|.  Every operation is elementwise, so a
@@ -311,7 +327,6 @@ def _ell1_gaps(bands: np.ndarray, diag: np.ndarray, scale: np.ndarray) -> np.nda
     term = np.empty(n * p, dtype=complex)
     colsum = np.zeros((n, p))
     inv = 1.0 / diag.T
-    neg = -scale
     for i in range(n):
         # the slot of row i - d - 1, overwritten on columns 0 .. i
         row = ring[i % slots, : i + 1]
@@ -324,7 +339,7 @@ def _ell1_gaps(bands: np.ndarray, diag: np.ndarray, scale: np.ndarray) -> np.nda
         for k in range(2, last + 1):
             np.multiply(ring[(i - k) % slots, : i + 1], bands[k, i - k], out=t)
             row += t
-        row *= neg
+        row *= scale
         row[i] += 1.0
         row *= inv[i]
         colsum[: i + 1] += np.abs(row)
@@ -473,9 +488,7 @@ class PseudospectrumGrid:
 
     points: np.ndarray    # flat complex grid, radius major
     gaps: np.ndarray      # g(lambda) per point
-    radii: tuple
-    n_angles: int
-    order: int
+    floors: np.ndarray    # rounding floor N eps max|A_ij| of lambda I - M per point
 
     def rows(self):
         """(re, im, gap) triples in deterministic grid order."""
@@ -502,14 +515,8 @@ def pseudospectrum_scan(
         raise OracleError("n_angles must be positive")
     angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
     circles = [r * angles for r in radii]
-    gaps = ordered_parallel_map(_BandedShift(T).circle, circles)
-    return PseudospectrumGrid(
-        points=np.concatenate(circles),
-        gaps=np.concatenate(gaps),
-        radii=radii,
-        n_angles=int(n_angles),
-        order=T.order,
-    )
+    gaps, floors = np.concatenate(ordered_parallel_map(_BandedShift(T).circle, circles), axis=1)
+    return PseudospectrumGrid(points=np.concatenate(circles), gaps=gaps, floors=floors)
 
 
 # ----------------------------------------------------------------------

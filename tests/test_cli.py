@@ -774,7 +774,7 @@ def test_gap_trend_admits_a_rounding_tie(tmp_path, coeffs):
     (0.0, "failed"),          # flat: the top order must lie below the first
 ])
 def test_gap_trend_tie_rule(tmp_path, monkeypatch, rise, status):
-    from wro.oracle import PseudospectrumGrid
+    from wro.oracle import PseudospectrumGrid, pseudospectrum_scan
 
     job = load_job(_dirichlet_tie_job(tmp_path, DIRICHLET_TIE_COEFFS[0]))
     report = cli.classify(job.space, job.weight, job.rotation)
@@ -784,10 +784,10 @@ def test_gap_trend_tie_rule(tmp_path, monkeypatch, rise, status):
         on = {64: g, 128: g * (1.0 + rise), 256: g if rise == 0.0 else 0.00829}
 
     def scan(t, radii, n_angles):
-        angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+        # the measured points and rounding floors, with the gaps replaced
+        grid = pseudospectrum_scan(t, radii, n_angles)
         gaps = np.concatenate([np.full(n_angles, on[t.order]), np.full(n_angles, 0.067)])
-        return PseudospectrumGrid(np.concatenate([r * angles for r in radii]), gaps,
-                                  tuple(radii), n_angles, t.order)
+        return PseudospectrumGrid(grid.points, gaps, grid.floors)
 
     monkeypatch.setattr(cli, "pseudospectrum_scan", scan)
     assert cli._check_gap_trend(job, report, _model(job))["status"] == status

@@ -70,7 +70,7 @@ def test_truncation_diagonal_matches_candidates():
     w = polynomial([-2, 1])
     T = build_truncation(BERGMAN, w, GOLDEN, 16)
     cands = np.asarray(point_spectrum_candidates(w, GOLDEN, count=16))
-    assert np.array_equal(T.diagonal(), cands)
+    assert np.array_equal(T.bands[0], cands)
 
 
 @settings(max_examples=30, deadline=None)
@@ -90,7 +90,7 @@ def test_truncation_diagonal_exact_for_random_weights(coeffs, order):
     w = polynomial(coeffs)
     T = build_truncation(BERGMAN, w, GOLDEN, order)
     cands = np.asarray(point_spectrum_candidates(w, GOLDEN, count=order))
-    assert np.array_equal(T.diagonal(), cands)
+    assert np.array_equal(T.bands[0], cands)
 
 
 def test_truncation_is_lower_triangular_shift_pattern():
@@ -107,7 +107,7 @@ def test_truncation_is_lower_triangular_shift_pattern():
 
 
 def test_truncation_entries_bitwise_match_scipy_toeplitz():
-    # the lower Toeplitz matrix is built by indexing; the entries are the
+    # the truncation is filled one diagonal at a time; the entries are the
     # ones scipy's toeplitz gave, bit for bit
     for w in (polynomial([1j, -2.5, 1, 0.3 - 0.2j]), rational([1, -0.5j], [1, 0.4])):
         for sp in (BERGMAN, space("dirichlet", p=2), space("ell1a")):
@@ -143,6 +143,29 @@ def test_leading_block_is_the_lower_order_truncation(w, rotation):
             assert block.entries.tobytes() == ref.entries.tobytes()
     with pytest.raises(OracleError):
         top.leading(257)
+
+
+def test_band_storage_forms_no_dense_matrix():
+    # the build fills d + 1 diagonals and a leading block cuts them: at
+    # N = 1024 the dense matrix alone would take 16 MB
+    w = polynomial([1, -2.5, 1])
+    tracemalloc.start()
+    try:
+        T = build_truncation(BERGMAN, w, GOLDEN, 1024)
+        block = T.leading(512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert T.bands.shape == (3, 1024) and block.bands.shape == (3, 512)
+    # the scan's max|A_ij| reads every stored entry: past row n the block's are zero
+    assert block.bands.tobytes() == build_truncation(BERGMAN, w, GOLDEN, 512).bands.tobytes()
+    # the banded routes read the bands, never the dense matrix
+    for sp in (BERGMAN, space("ell1a")):
+        T = build_truncation(sp, w, GOLDEN, 256)
+        assert oracle._BandedShift(T).banded
+        pseudospectrum_scan(T, [1.0, 2.0, 3.0], n_angles=8)
+        assert "entries" not in vars(T)
 
 
 def test_truncation_validation():
@@ -392,7 +415,7 @@ def test_gap_on_a_diagonal_entry_reports_the_floor(sp):
     # lambda = alpha^0 w(0) = 1 makes the first diagonal entry exactly zero
     T = build_truncation(sp, polynomial([1, -2.5, 1]), GOLDEN, 64)
     scan = pseudospectrum_scan(T, [1.0], n_angles=1)
-    assert scan.points[0] == T.diagonal()[0]
+    assert scan.points[0] == T.bands[0, 0]
     _assert_floor(T, scan)
 
 

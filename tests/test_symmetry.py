@@ -8,7 +8,8 @@ on an irrational alpha only through its irrationality.  So w(iz), w(-z)
 and the conjugated coefficients classify as w does, and 2w has every
 radius doubled.  For zeta in {i, -1} the new coefficients are exactly
 the old floats up to sign and swap, so a changed report is a defect of
-the computation, not of the data.
+the computation, not of the data.  The same similarity leaves the
+resolvent gaps of the truncations unchanged.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wro import classify, named_rotation, polynomial
+from wro import build_truncation, classify, named_rotation, polynomial, pseudospectrum_scan
 from wro.weights import space
 
 GOLDEN = named_rotation("golden")
@@ -106,3 +107,21 @@ def test_simple_roots_classify_symmetrically(sp, roots, lead):
 )
 def test_repeated_roots_classify_symmetrically(sp, roots, lead):
     _check_relations(sp, [z for z, m in roots for _ in range(m)], lead)
+
+
+@pytest.mark.parametrize("sp", [space("bergman", p=2), space("ell1a")], ids=lambda sp: sp.variant)
+@pytest.mark.parametrize("coeffs", [[1, -2.5, 1], [2, 0.5 - 0.25j, 0.25j]], ids=["real", "complex"])
+def test_scan_of_the_rotated_weight(sp, coeffs):
+    # the truncation of w(iz) is D M D^-1 with D = diag(i^k), unitary and an
+    # l^1 isometry, so lambda I - M and its image have the same gap; the
+    # tolerance is the one the banded routes meet against the dense SVD
+    n = 128
+    radii = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    T = build_truncation(sp, polynomial(coeffs), GOLDEN, n)
+    scan = pseudospectrum_scan(T, radii, n_angles=8)
+    image = pseudospectrum_scan(build_truncation(sp, polynomial(_rotate(coeffs, 1j)), GOLDEN, n),
+                                radii, n_angles=8)
+    assert np.array_equal(image.points, scan.points)
+    for lam, gap, got in zip(scan.points, scan.gaps, image.gaps):
+        norm = np.linalg.norm(lam * np.eye(n) - T.entries, 2)
+        assert abs(got - gap) <= 1e-9 * gap + 4 * n * np.finfo(float).eps * norm, (lam, gap, got)
