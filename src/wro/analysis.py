@@ -17,7 +17,9 @@ invertibility and then count interior zeros through the argument
 principle: the certificate is the grid minimum of the partial sum p,
 minus the declared tail bound, minus (pi/M) sum k |c_k| (a bound on
 |p'| times half the step of the M point grid).  BoundarySamples weights
-mostly answer "unknown".  ``invertibility_profile`` reads the record.
+mostly answer "unknown".  ``invertibility_profile`` reads the record,
+and ``zero_near_circles`` answers the annulus boundary question from the
+same clustering of the zeros.
 
 The analysis is one variable: a torus polynomial in a single variable is
 collapsed first (``TorusPolynomial.axis_polynomial``), and the zero,
@@ -253,6 +255,13 @@ def find_zeros(w: Weight) -> ZeroSet:
             raise AnalysisError("sampled loop passes too close to the origin to count zeros")
         return ZeroSet(count_only=True, total_inside=_winding_count(vals), certified=False)
     raise AnalysisError("zero analysis is one variable only")
+
+
+def zero_near_circles(w: Weight, radii) -> bool:
+    """Whether a clustered zero of the closed form w lies within
+    CLUSTER_TOL of a circle |z| = r, r in ``radii``."""
+    clusters = _zero_clusters(_rep_fractions(w)[0])
+    return any(abs(abs(z) - r) <= CLUSTER_TOL for z, _ in clusters for r in radii)
 
 
 # ----------------------------------------------------------------------

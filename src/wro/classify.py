@@ -40,7 +40,6 @@ guessing the branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -48,13 +47,11 @@ import numpy as np
 
 from . import ergodic
 from .analysis import (
-    CLUSTER_TOL,
     UNKNOWN,
     YES,
-    _rep_fractions,
-    _zero_clusters,
     factorization_summary,
     geometric_mean,
+    zero_near_circles,
 )
 from .weights import (
     RotationVector,
@@ -343,6 +340,8 @@ _TRICHOTOMY_RULE = {
     "hinf": "hinf-trichotomy",
     "hardy_banach": "hinf-trichotomy",
     "sobolev_wna": "hinf-trichotomy",
+    "polydisc_algebra": "polydisc-algebra-cases",
+    "polydisc_bergman": "polydisc-bergman-cases",
 }
 
 _REDUCTION_RULE = {
@@ -521,9 +520,19 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
     if facts.on_circle == YES:
         return _finish(_all_exact("%s(3)" % rule, closed_disc(g)), extra_rules=extra_rules)
     if facts.zero_count_inside:
-        entry = IndexEntry(Component("open_disc", r=float(g)), index=-facts.zero_count_inside)
-        more = tuple(extra_rules) + ("blaschke-zero-index",)
-        return _finish(_residual_disc("%s(2)" % rule, g), index_map=(entry,), extra_rules=more)
+        cite = "%s(2)" % rule
+        sets = _residual_disc(cite, g)
+        disc = Component("open_disc", r=float(g))
+        if sp.polydisc:
+            # on the polydisc the backward shift chain below a zero of the
+            # weight has infinite codimension, so the index is minus
+            # infinity and even sigma_3 fills the whole disc
+            sets["sigma_3"] = SetReport(closed_disc(g), EXACT, cite)
+            entry = IndexEntry(disc, minus_infinity=True)
+        else:
+            entry = IndexEntry(disc, index=-facts.zero_count_inside)
+            extra_rules = tuple(extra_rules) + ("blaschke-zero-index",)
+        return _finish(sets, index_map=(entry,), extra_rules=extra_rules)
     return _zero_free(rule, w, extra_rules)
 
 
@@ -562,10 +571,8 @@ def _classify_annulus(sp: SpaceSpec, w: Weight) -> SpectrumReport:
             "annulus classification needs a representation evaluable on both boundary circles"
         )
     R = float(sp.inner_radius)
-    ncoef, _ = _rep_fractions(w)
-    for z, _ in _zero_clusters(ncoef):
-        if min(abs(abs(z) - 1.0), abs(abs(z) - R)) <= CLUSTER_TOL:
-            raise ClassifyError("weight vanishes on an annulus boundary circle")
+    if zero_near_circles(w, (1.0, R)):
+        raise ClassifyError("weight vanishes on an annulus boundary circle")
     g1 = geometric_mean(w, 1.0)
     gR = geometric_mean(w, R)
     lo, hi = min(g1, gR), max(g1, gR)
@@ -589,12 +596,7 @@ def _classify_annulus(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     return _finish(sets, open_flags=(FLAG_INNER_ANNULUS_INDEX,))
 
 
-def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
-    rule = (
-        "polydisc-algebra-cases"
-        if sp.variant == "polydisc_algebra"
-        else "polydisc-bergman-cases"
-    )
+def _classify_polydisc(sp: SpaceSpec, w: Weight, rotation) -> SpectrumReport:
     rep = w.rep
     if isinstance(rep, TorusPolynomial):
         if rep.dim != sp.dim:
@@ -603,28 +605,13 @@ def _classify_polydisc(sp: SpaceSpec, w: Weight) -> SpectrumReport:
             )
         wa = rep.axis_polynomial()
         if wa is None:
-            g = math.exp(ergodic._torus_log_mean(w))
-            return _finish(_sandwich("%s(unresolved)" % rule, g))
+            g = ergodic.group_rotation_radius(w, rotation)
+            return _finish(_sandwich("%s(unresolved)" % _TRICHOTOMY_RULE[sp.variant], g))
         w = wa
     elif not w.closed_form:
         raise ClassifyError("polydisc classification needs a polynomial weight")
     # a one variable weight, read as w(z_1, ..., z_n) = w(z_1)
-    facts = factorization_summary(w)
-    g = facts.g
-    if facts.on_circle == UNKNOWN:
-        return _finish(_sandwich("%s(unresolved)" % rule, g))
-    if facts.on_circle == YES:
-        return _finish(_all_exact("%s(3)" % rule, closed_disc(g)))
-    if facts.zero_count_inside:
-        cite = "%s(2)" % rule
-        sets = _residual_disc(cite, g)
-        # on the polydisc the backward shift chain below a zero of the
-        # weight has infinite codimension, so the index is minus infinity
-        # and even sigma_3 fills the whole disc
-        sets["sigma_3"] = SetReport(closed_disc(g), EXACT, cite)
-        entry = IndexEntry(Component("open_disc", r=float(g)), minus_infinity=True)
-        return _finish(sets, index_map=(entry,))
-    return _zero_free(rule, w)
+    return _classify_trichotomy(sp, w, ())
 
 
 # ----------------------------------------------------------------------
@@ -647,15 +634,15 @@ def classify(sp: SpaceSpec, w: Weight, rotation) -> SpectrumReport:
     if isinstance(w.rep, TorusPolynomial) and not sp.polydisc:
         raise ClassifyError("several variable weights need a polydisc space")
 
-    if sp.variant in _TRICHOTOMY_RULE:
+    if sp.polydisc:
+        report = _classify_polydisc(sp, w, rotation)
+    elif sp.variant in _TRICHOTOMY_RULE:
         extra = (_REDUCTION_RULE[sp.variant],) if sp.variant in _REDUCTION_RULE else ()
         report = _classify_trichotomy(sp, w, extra)
     elif sp.variant == "ell1a":
         report = _classify_ell1a(sp, w)
-    elif sp.variant == "annulus_hardy":
-        report = _classify_annulus(sp, w)
     else:
-        report = _classify_polydisc(sp, w)
+        report = _classify_annulus(sp, w)
     echo = {
         "space": space_payload(sp),
         "weight": weight_payload(w),

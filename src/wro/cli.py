@@ -64,11 +64,10 @@ from .oracle import (
     truncation_rank,
 )
 from .weights import (
-    Polynomial,
-    RotationAngle,
     Weight,
     WeightError,
     _is_real_number,
+    _require_grid,
     parse_rotation,
     parse_space,
     parse_weight,
@@ -143,6 +142,10 @@ def _merge_params(doc: dict) -> dict:
         val = out[name]
         if isinstance(val, bool) or not isinstance(val, int) or val < 1:
             raise WeightError("param %s must be a positive integer" % name)
+    try:
+        _require_grid(out["grid"])  # the membership scan's grid rule
+    except WeightError as exc:
+        raise WeightError("param grid: %s" % exc) from None
     for name in _LIST_PARAMS:
         val = out[name]
         integral = name != "radius_factors"
@@ -375,8 +378,6 @@ def cmd_scan(args) -> int:
     if ap.status.kind == "unknown" or ap.set.is_empty:
         raise OracleError("scan needs a known approximate point spectrum")
     base = _circle_radii(ap)
-    if not base:
-        raise OracleError("the predicted set has no positive radius to scan")
     radii = sorted({f * r for r in base for f in job.params["radius_factors"]})
     t = _matrix_model(job, job.params["truncation"])
     if isinstance(t, str):
@@ -682,20 +683,16 @@ def _check_gap_trend(job, report, model):
 
 def _check_residual_decay(job, report, model):
     sp = job.space
-    if not isinstance(job.weight.rep, Polynomial):
+    # load_job has already sized this window, so it cannot raise here
+    if residual_window(job.weight, max(job.params["m_ladder"]), job.params["peak_power"]) is None:
         return _skipped("residual-decay", "needs a polynomial weight")
     # the space norm is the model's, or the Bloch norm
     if isinstance(model, str) and sp.variant != "bloch":
         return _skipped("residual-decay", model)
-    rot = job.rotation
-    if not isinstance(rot, RotationAngle) or not rot.certified_nonperiodic:
-        return _skipped("residual-decay", "needs a certified non periodic rotation")
     ap = report.sets["sigma_ap"]
     if ap.status.kind == "unknown" or ap.set.is_empty:
         return _skipped("residual-decay", "the approximate point spectrum is unknown")
     lam = ap.set.outer_radius()
-    if lam <= 0.0:
-        return _skipped("residual-decay", "no positive circle to probe")
     rungs = sorted(set(job.params["m_ladder"]))
     if len(rungs) < 2:
         return _skipped("residual-decay", "the m ladder needs at least two entries")
@@ -705,7 +702,7 @@ def _check_residual_decay(job, report, model):
             rep = singular_sequence_residual(
                 sp,
                 job.weight,
-                rot,
+                job.rotation,
                 lam,
                 m,
                 n=job.params["peak_power"],

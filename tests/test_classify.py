@@ -313,11 +313,15 @@ def test_annulus_rejects_boundary_zeros_and_series():
         classify(sp, polynomial([-1, 1], tags=("H_inf",)), GOLDEN)
     with pytest.raises(ClassifyError):
         classify(sp, taylor([2.0], tail_bound=0.1, tags=("H_inf",)), GOLDEN)
-    # the boundary band around |z| = R is CLUSTER_TOL = 1e-7 wide
+    # the boundary bands around |z| = R and |z| = 1 are CLUSTER_TOL = 1e-7 wide
     with pytest.raises(ClassifyError, match="annulus boundary circle"):
         classify(sp, polynomial([-(0.5 + 5e-8), 1]), GOLDEN)
     rep = classify(sp, polynomial([-(0.5 + 2e-7), 1]), GOLDEN)
     assert "annulus-boundary-circles(two-circles)" in rep.citations
+    with pytest.raises(ClassifyError, match="annulus boundary circle"):
+        classify(sp, polynomial([-(1 + 5e-8), 1]), GOLDEN)
+    rep = classify(sp, polynomial([-(1 + 2e-7), 1]), GOLDEN)
+    assert "annulus-boundary-circles(merged)" in rep.citations
 
 
 # ----------------------------------------------------------------------

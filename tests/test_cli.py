@@ -92,6 +92,8 @@ def test_load_job_rejects_unknown_fields(tmp_path):
     {"grid": 1 << 24},                     # about 54 GB of membership margins
     {"grid": 1 << 16, "m_ladder": [64]},   # 65536 x 130 cells
     {"n_max": 200},                        # dropped: no command read it
+    {"grid": 100},                         # not a power of two: scan exited 0
+    {"grid": 32},                          # below the membership grid minimum of 64
 ], ids=lambda p: json.dumps(p)[:40])
 def test_scan_exit_1_on_bad_params(tmp_path, capsys, params):
     job = _bergman_job(tmp_path, params=params)
