@@ -355,7 +355,7 @@ class WeightFacts:
     the representation lacks them.
     """
 
-    g: Optional[float]  # boundary geometric mean; None when a sample touches zero
+    g: Optional[float]  # boundary geometric mean; None when w is zero at a sample point
     on_circle: str
     zero_count_inside: Optional[int]  # with multiplicity
     count_only: bool  # zero locations unknown (series and sampled weights)
@@ -367,7 +367,9 @@ class WeightFacts:
 
 def factorization_summary(w: Weight) -> WeightFacts:
     """The facts record of w; g is ``geometric_mean(w, 1.0)``, so it is
-    the modulus of the outer factor at the origin."""
+    the modulus of the outer factor at the origin.  g is None when w is
+    zero at a point the mean samples: an exact zero sample, or a zero of
+    a series on the quadrature grid (closed forms raise there)."""
     rep = w.rep
     if isinstance(rep, BoundarySamples):
         vals = np.abs(np.asarray(rep.values, dtype=complex))
@@ -392,7 +394,12 @@ def factorization_summary(w: Weight) -> WeightFacts:
     # it has finitely many zeros and no singular inner factor (a singular
     # factor forces radial limits of modulus zero somewhere on the circle)
     decided = zs is not None or not series
-    g = geometric_mean(w, 1.0)  # before the l1 sum, which can overflow
+    try:
+        g = geometric_mean(w, 1.0)  # before the l1 sum, which can overflow
+    except ConvergenceError:
+        if not series:
+            raise
+        g = None  # a zero of the series on the quadrature grid
     l1 = float(np.sum(np.abs(np.asarray(rep.coeffs)))) + rep.tail_bound if series else None
     return WeightFacts(
         g=g,

@@ -496,8 +496,8 @@ def _classify_trichotomy(sp: SpaceSpec, w: Weight, extra_rules) -> SpectrumRepor
     g = facts.g
     unresolved = "%s(unresolved)" % rule
     if g is None:
-        # a sample hits zero on the circle, so the boundary mean cannot be
-        # computed from the samples
+        # w is zero at a point the boundary mean samples, so the mean
+        # cannot be computed from the data
         return _finish(_all_unknown(unresolved), extra_rules=extra_rules)
     if facts.on_circle == UNKNOWN:
         if facts.sample_sup is not None and sp.variant in _SUPNORM_FAMILY:
@@ -542,6 +542,8 @@ def _classify_ell1a(sp: SpaceSpec, w: Weight) -> SpectrumReport:
     if facts.sample_sup is not None:
         raise ClassifyError("series space classification needs coefficient data")
     g = facts.g
+    if g is None:   # a zero of the series on the quadrature grid
+        return _finish(_all_unknown("%s(unresolved)" % rule))
     if facts.ell1_bound is not None:
         # a series known through its leading coefficients and a tail bound
         if w.has_tag("Lambda_class"):

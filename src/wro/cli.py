@@ -328,7 +328,7 @@ def _radius_routes(job: JobDocument) -> Dict[str, Optional[float]]:
             pass
     try:
         routes["ergodic"] = group_rotation_radius(w, job.rotation)
-    except (AnalysisError, WeightError):
+    except (ConvergenceError, AnalysisError, WeightError):
         pass
     return routes
 

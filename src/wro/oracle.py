@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,6 +193,44 @@ GRAM_SHIFT = 0.98
 CIRCLE_BATCH_ENTRIES = 1 << 20
 
 
+@lru_cache(maxsize=None)
+def _lapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded
+    from its file alone.
+
+    ``from scipy.linalg import lapack`` runs ``scipy/linalg/__init__``,
+    about 0.15 s after numpy, for the six routines the gap routes call.
+    The extension is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it and hands out the same functions.
+    When the file is missing or does not load, the package import is the
+    fallback: slower, never different.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    except (ImportError, AttributeError, TypeError):   # no scipy, or the file does not load
+        pass
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _gap_dense(T: TruncationMatrix, lam: complex) -> float:
     """g(lambda) from the dense matrix: the reference route.
 
@@ -206,13 +244,13 @@ def _gap_dense(T: TruncationMatrix, lam: complex) -> float:
         return float(s[-1])
     # sum norm: the operator norm of the inverse on l^1 is the largest
     # column sum; the matrix is lower triangular so back substitution
-    # against the identity is exact
-    from scipy.linalg import solve_triangular
-
+    # against the identity is exact.  a is C ordered: LAPACK solves with
+    # its transpose, the Fortran ordered upper triangle, as
+    # solve_triangular(a, I, lower=True) does
     diag = np.abs(np.diag(a))
     if float(diag.min()) < 1e-300:
         return 0.0
-    inv = solve_triangular(a, np.eye(T.order, dtype=complex), lower=True)
+    inv, _ = _lapack().ztrtrs(a.T, np.eye(T.order, dtype=complex), lower=0, trans=1)
     return 1.0 / float(np.max(np.sum(np.abs(inv), axis=0)))
 
 
@@ -356,8 +394,7 @@ def _top_ritz(alphas: list, betas: list) -> Tuple[float, float]:
     runs the same two routines but adds 25-35 us of argument handling
     per call, about a quarter of a typical point's Lanczos time.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     k = len(alphas)
     if k == 1:
         return alphas[0], 1.0
@@ -437,7 +474,7 @@ def _inverse_lanczos(ab: np.ndarray, start: np.ndarray, floor: float) -> Optiona
     Ritz value of B = (A A^H)^{-1} reached 1/floor^2), and None when the
     Lanczos does not converge.
     """
-    from scipy.linalg import lapack
+    lapack = _lapack()
 
     def solve(q):
         y, info = lapack.ztbtrs(ab, q[:, None], uplo="L")
@@ -459,8 +496,7 @@ def _shifted_lanczos(ab: np.ndarray, start: np.ndarray, mu: float) -> Optional[f
     (mu >= lambda_min(G)), a solve overflows, or the Lanczos does not
     converge.
     """
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     d1, n = ab.shape
     # G[j + s, j] = sum_u A[j + s, j - u] conj(A[j, j - u]), u = 0 .. d - s
     gram = np.zeros_like(ab)

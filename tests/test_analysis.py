@@ -23,6 +23,7 @@ from wro import (
     taylor,
     torus_polynomial,
 )
+from wro import analysis
 from wro.analysis import YES, NO, UNKNOWN
 from wro.weights import space
 
@@ -249,6 +250,19 @@ def test_one_variable_analysis_refuses_torus_weights(terms):
             fn(w)
 
 
+def test_failed_mean_is_no_mean_for_a_series_only(monkeypatch):
+    # a quadrature that meets a zero leaves a series without g; a closed
+    # form's mean comes from its zeros, so a failure there is a real error
+    def fail(w, r, method="auto"):
+        raise ConvergenceError("weight vanishes on the sample circle")
+
+    monkeypatch.setattr(analysis, "geometric_mean", fail)
+    assert factorization_summary(taylor([2.0, 0.5], 0.25)).g is None
+    for w in (polynomial([2.0, 0.5]), rational([2.0, 0.5], [4.0, 1.0])):
+        with pytest.raises(ConvergenceError):
+            factorization_summary(w)
+
+
 def test_factorization_summary_degrades_for_samples():
     fact = factorization_summary(boundary_sample_weight([2.0] * 64))
     assert fact.zero_count_inside is None
@@ -263,7 +277,10 @@ def test_factorization_summary_degrades_for_samples():
     (taylor([-0.5, 1], 0.75), UNKNOWN, None, True, 1.0, None, 2.25),
     (boundary_sample_weight([2.0] * 64), UNKNOWN, None, True, 2.0, 2.0, None),
     (boundary_sample_weight([1.0] * 63 + [0.0]), YES, None, True, None, 1.0, None),
-], ids=["inside", "on-circle", "band", "series", "series-uncertified", "samples", "samples-zero"])
+    # the zero z = 1 lies on the quadrature grid: no mean, and no error
+    (taylor([1, -1], 1e-3), UNKNOWN, None, True, None, None, 2.0 + 1e-3),
+], ids=["inside", "on-circle", "band", "series", "series-uncertified", "samples", "samples-zero",
+        "series-zero-on-grid"])
 def test_weight_facts(w, on_circle, count, count_only, g, sup, l1):
     facts = factorization_summary(w)
     assert facts.on_circle == on_circle

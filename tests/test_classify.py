@@ -11,6 +11,7 @@ from wro import (
     CircularSet,
     ClassifyError,
     Component,
+    ConvergenceError,
     REPORT_KEYS,
     RotationVector,
     Status,
@@ -471,6 +472,35 @@ def test_series_and_sample_branch_table(row):
     exact = {k for k, sr in rep.sets.items() if sr.status.kind == "exact"}
     certified = branch == "boundary-certified"
     assert exact == ({"sigma_ap", "sigma_1", "sigma_2"} if certified else set())
+
+
+_ONE_VARIABLE_SPACES = {
+    "disc_algebra": (space("disc_algebra"), ("disc_algebra",)),
+    "smooth_cna": (space("smooth_cna", order=2), ("disc_algebra",)),
+    "bergman": (space("bergman", p=2), ("disc_algebra",)),
+    "bloch": (space("bloch"), ("disc_algebra", "multiplier_Bloch")),
+    "dirichlet": (space("dirichlet", p=2), ("disc_algebra", "multiplier_Dirichlet")),
+    "hinf": (space("hinf"), ("H_inf",)),
+    "hardy_banach": (space("hardy_banach"), ("H_inf",)),
+    "sobolev_wna": (space("sobolev_wna", order=1, p=2), ("H_inf",)),
+    "ell1a": (space("ell1a"), ("ell1A",)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_ONE_VARIABLE_SPACES))
+def test_series_zero_on_the_quadrature_grid_is_unresolved(variant):
+    # the quadrature of ln|1 - z| meets the zero z = 1 on its first grid:
+    # with no boundary mean every set is unknown, and no error escapes
+    sp, tags = _ONE_VARIABLE_SPACES[variant]
+    w = taylor([1, -1], 1e-3, tags=tags)
+    with pytest.raises(ConvergenceError):
+        geometric_mean(w, 1.0)
+    rep = classify(sp, w, GOLDEN)
+    rule = rep.citations[-1]
+    assert rule.endswith("(unresolved)")
+    assert {k: sr.citation for k, sr in rep.sets.items()} == {k: rule for k in REPORT_KEYS}
+    assert all(sr.status.kind == "unknown" and sr.set.is_empty for sr in rep.sets.values())
+    assert rep.index_map == () and rep.open_flags == ()
 
 
 def test_polydisc_dimension_mismatches():

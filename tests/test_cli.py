@@ -170,6 +170,25 @@ def test_ell1_scan_loads_no_scipy(tmp_path, command, params):
         assert json.loads(out.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_euclidean_gaps_load_only_the_lapack_extension(tmp_path, command):
+    # the Bergman gap routes call LAPACK from scipy's f2py extension,
+    # loaded from its file alone: neither scipy nor scipy.linalg is imported
+    job = _bergman_job(tmp_path, coeffs=(1, -2.5, 1))
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, wro.cli; rc = wro.cli.main([sys.argv[1], '--job', sys.argv[2], '--out', sys.argv[3]]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code, command, job, str(out)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert res.strip() == "0 ['scipy.linalg._flapack']"
+    if command == "scan":
+        assert len(out.read_text().splitlines()) == 1 + 5 * 64
+    else:
+        assert json.loads(out.read_text())["passed"] is True
+
+
 def test_periodic_radius_loads_no_scipy(tmp_path):
     # the periodic route is a grid and one parabolic step: a p/q radius job
     # runs without importing scipy, and still reports no route agreement
@@ -193,7 +212,7 @@ def test_periodic_radius_loads_no_scipy(tmp_path):
 
 
 def test_import_cli_loads_no_scipy():
-    # scipy is imported only inside the resolvent gap routes, so classify,
+    # scipy's LAPACK is loaded only inside the resolvent gap routes, so classify,
     # plot and every radius job never load it; the scan is a plain loop,
     # so neither an executor nor logging loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -464,6 +483,38 @@ def test_radius_on_a_single_axis_torus_job(tmp_path):
     assert routes["closed_form"] is None
     assert routes["quadrature"] is None
     assert routes["ergodic"] == pytest.approx(2.0, rel=1e-12)
+
+
+#: weights whose boundary mean no route can compute
+_NO_MEAN_WEIGHTS = {
+    # one zero sample, which the quadrature and ergodic routes both meet
+    "zero-sample": {"type": "samples", "tags": ["disc_algebra"], "values": [0.0] + [2.0] * 63},
+    # the zero z = 1 of the series lies on every quadrature grid
+    "series-zero-on-grid": {"type": "taylor", "coeffs": [1, -1], "tail_bound": 1e-3,
+                            "tags": ["disc_algebra"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_MEAN_WEIGHTS))
+def test_weight_without_a_boundary_mean_exit_codes(tmp_path, name):
+    # classify reports every set unknown (exit 3), radius has no route
+    # (exit 0) and verify skips the radius check (exit 0)
+    job = _write_job(tmp_path, "job.json", {
+        "space": {"variant": "bergman", "p": 2},
+        "weight": _NO_MEAN_WEIGHTS[name],
+        "rotation": {"kind": "named", "name": "golden"},
+    })
+    report, radius, ledger = (tmp_path / f for f in ("report.json", "radius.json", "ledger.json"))
+    assert main(["classify", "--job", job, "--out", str(report)]) == 3
+    sets = json.loads(report.read_text())["sets"]
+    assert {s["citation"] for s in sets.values()} == {"bergman-trichotomy(unresolved)"}
+    assert {s["status"] for s in sets.values()} == {"unknown"}
+    assert main(["radius", "--job", job, "--out", str(radius)]) == 0
+    assert json.loads(radius.read_text())["routes"] == dict.fromkeys(
+        ("closed_form", "quadrature", "ergodic"))
+    assert main(["verify", "--job", job, "--out", str(ledger)]) == 0
+    checks = {c["name"]: c["status"] for c in json.loads(ledger.read_text())["checks"]}
+    assert checks["radius-routes"] == "skipped"
 
 
 # ----------------------------------------------------------------------

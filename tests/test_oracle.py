@@ -1,7 +1,11 @@
 """Truncation matrices, resolvent gaps, smoothing, singular sequences,
 and the space norm ladders."""
 
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import solve_triangular, toeplitz
 
 from wro import (
@@ -357,8 +362,7 @@ def test_failed_cholesky_returns_the_unshifted_gap(monkeypatch):
     # a shift of 4 g^2 lies above lambda_min(A A^H) at every point, so
     # every banded Cholesky factorization fails and the unshifted route
     # measures the gap, bit for bit as with the shifted route switched off
-    from scipy.linalg import lapack
-
+    lapack = oracle._lapack()
     T = build_truncation(BERGMAN, polynomial([1, -2.5, 1]), GOLDEN, 128)
     with monkeypatch.context() as m:
         m.setattr(oracle, "_shifted_lanczos", lambda *args: None)
@@ -376,6 +380,65 @@ def test_failed_cholesky_returns_the_unshifted_gap(monkeypatch):
     got = pseudospectrum_scan(T, [2.2, 3.0], n_angles=5).gaps
     assert len(infos) == 8 and all(info > 0 for info in infos)
     assert np.array_equal(got, want)
+
+
+def test_lapack_extension_is_the_one_scipy_linalg_uses():
+    # loaded alone, the extension is the only scipy module; a later import
+    # of scipy.linalg reuses it, so every routine is the same function
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    code = ("import sys\n"
+            "from wro import oracle\n"
+            "lapack = oracle._lapack()\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "import scipy.linalg\n"
+            "names = ('ztbtrs', 'zpbtrf', 'zpbtrs', 'dstebz', 'dstein', 'ztrtrs')\n"
+            "print(all(getattr(scipy.linalg.lapack, f) is getattr(lapack, f) for f in names))\n"
+            "print(scipy.linalg.solve_triangular([[2.0]], [4.0])[0])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["['scipy.linalg._flapack']", "True", "2.0"]
+
+
+class _UnloadableExtension(importlib.machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError("undefined symbol")
+
+
+@pytest.mark.parametrize("failure", ["missing", "unloadable"])
+def test_lapack_falls_back_to_the_scipy_package(failure, monkeypatch):
+    # the package import hands out the same routines: the gaps of a banded
+    # scan (shifted and unshifted Lanczos) are byte equal
+    T = build_truncation(BERGMAN, polynomial([1, -2.5, 1]), GOLDEN, 128)
+    radii = [1.0, 2.0, 2.2, 3.0]
+    fast = pseudospectrum_scan(T, radii, n_angles=8).gaps
+    if failure == "missing":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", _UnloadableExtension)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    oracle._lapack.cache_clear()
+    try:
+        assert oracle._lapack() is scipy.linalg.lapack
+        assert pseudospectrum_scan(T, radii, n_angles=8).gaps.tobytes() == fast.tobytes()
+    finally:
+        oracle._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("order", [64, 256])
+def test_dense_ell1_gap_is_solve_triangular_bit_for_bit(order):
+    # a full band takes the dense l^1 route, whose ztrtrs call is the one
+    # solve_triangular makes
+    w = taylor([2.0] + [0.6 ** k for k in range(1, order)], 0.6 ** order / 0.4)
+    T = build_truncation(space("ell1a"), w, GOLDEN, order)
+    assert not oracle._BandedShift(T).banded
+    for r in (0.5, 1.0, 2.0, 2.5, 4.0):
+        for lam in r * np.exp(2j * np.pi * (np.arange(4) + 0.1) / 4):
+            a = complex(lam) * np.eye(order, dtype=complex) - T.entries
+            inv = solve_triangular(a, np.eye(order, dtype=complex), lower=True)
+            want = 1.0 / float(np.max(np.sum(np.abs(inv), axis=0)))
+            got = _gap_dense(T, complex(lam))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (order, lam)
 
 
 @pytest.mark.parametrize("degree", range(1, 9))
